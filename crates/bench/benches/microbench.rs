@@ -39,10 +39,6 @@ fn bench_knn_shapley(c: &mut Criterion) {
             b.iter(|| knn_shapley(&train, &valid, 5))
         });
     }
-    let train = synth_dataset(800, 8);
-    group.bench_function("parallel4_800", |b| {
-        b.iter(|| nde_importance::knn_shapley::knn_shapley_parallel(&train, &valid, 5, 4))
-    });
     group.finish();
 }
 
@@ -78,16 +74,23 @@ fn bench_knn_shapley_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// `knn_shapley` at 1/2/4/8 `NDE_THREADS` workers; the variable is
+/// restored afterwards.
 fn bench_parallel_scaling(c: &mut Criterion) {
-    use nde_importance::knn_shapley::knn_shapley_parallel;
     let mut group = c.benchmark_group("knn_shapley_threads");
     group.sample_size(10);
     let train = synth_dataset(2_000, 8);
     let valid = synth_dataset(200, 8);
+    let saved = std::env::var("NDE_THREADS").ok();
     for &threads in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| knn_shapley_parallel(&train, &valid, 5, t))
+        std::env::set_var("NDE_THREADS", threads.to_string());
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
+            b.iter(|| knn_shapley(&train, &valid, 5))
         });
+    }
+    match saved {
+        Some(v) => std::env::set_var("NDE_THREADS", v),
+        None => std::env::remove_var("NDE_THREADS"),
     }
     group.finish();
 }

@@ -7,35 +7,48 @@
 //! validation point that vote for its true label), Shapley values admit a
 //! closed-form recursion over training points sorted by distance, so the
 //! *exact* values cost `O(n log n)` per validation point instead of an
-//! exponential sum.
+//! exponential sum. Every ranking here — direct, cached or top-k — comes
+//! from `nde_parallel::neighbor_order`, so the paths agree bit-for-bit.
 
 use nde_learners::dataset::ClassDataset;
 use nde_learners::matrix::sq_dist;
 use nde_learners::models::kdtree::KdTree;
-use nde_parallel::{par_reduce, par_reduce_with, NeighborCache, TopKCache};
+use nde_parallel::neighbor_order::rank_all;
+use nde_parallel::{par_reduce, NeighborCache, TopKCache};
 
-/// Validation points per work chunk for the parallel/cached paths. Chunk
-/// boundaries depend only on the validation count, so results are
-/// bit-identical for any thread count.
+/// Validation points per work chunk. Chunk boundaries depend only on the
+/// validation count, so results are bit-identical for any thread count.
 const VALID_CHUNK: usize = 8;
 
 /// Backward recursion of Jia et al. (Theorem 1) for one validation point,
-/// given training indices sorted ascending by (distance, index). Adds the
-/// per-point (unaveraged) Shapley contributions into `scores`.
-fn accumulate_one(scores: &mut [f64], order: &[u32], train_y: &[usize], yv: usize, k: usize) {
-    let n = order.len();
-    let matches = |i: u32| f64::from(u8::from(train_y[i as usize] == yv));
+/// given every training row as `(distance, index)` in neighbor order.
+/// Adds the per-point (unaveraged) Shapley contributions into `scores`.
+fn accumulate_one(
+    scores: &mut [f64],
+    ranked: &[(f64, u32)],
+    train_y: &[usize],
+    yv: usize,
+    k: usize,
+) {
+    let n = ranked.len();
+    let row = |j: usize| ranked[j].1 as usize;
+    let matches = |j: usize| f64::from(u8::from(train_y[row(j)] == yv));
     // The base case uses min(K, N): when the training set is smaller
     // than K, the farthest point still occupies a guaranteed vote slot.
-    let mut s_next = matches(order[n - 1]) * k.min(n) as f64 / (k as f64 * n as f64);
-    scores[order[n - 1] as usize] += s_next;
+    let mut s_next = matches(n - 1) * k.min(n) as f64 / (k as f64 * n as f64);
+    scores[row(n - 1)] += s_next;
     for j in (1..n).rev() {
-        // position j (1-indexed) is order[j-1]; its successor is order[j].
-        let i = order[j - 1];
-        let s = s_next + (matches(i) - matches(order[j])) / k as f64 * (k.min(j) as f64 / j as f64);
-        scores[i as usize] += s;
+        // position j (1-indexed) is ranked[j-1]; its successor is ranked[j].
+        let s = s_next + (matches(j - 1) - matches(j)) / k as f64 * (k.min(j) as f64 / j as f64);
+        scores[row(j - 1)] += s;
         s_next = s;
     }
+}
+
+/// Asserts that label vectors match the cache they are scored against.
+fn check_labels(n: usize, m: usize, train_y: &[usize], valid_y: &[usize]) {
+    assert_eq!(n, train_y.len(), "train_y length must match the cache");
+    assert_eq!(m, valid_y.len(), "valid_y length must match the cache");
 }
 
 fn elementwise_add(mut acc: Vec<f64>, part: Vec<f64>) -> Vec<f64> {
@@ -48,6 +61,12 @@ fn elementwise_add(mut acc: Vec<f64>, part: Vec<f64>) -> Vec<f64> {
 /// Exact Shapley values of every training point under the K-NN utility,
 /// averaged over all validation points. Lower = more harmful; mislabeled
 /// points that sit close to validation points get negative values.
+///
+/// Validation points are split into fixed-size chunks whose boundaries
+/// depend only on the validation count, the chunks fan out over
+/// `NDE_THREADS` workers, and chunk partials are summed in chunk order —
+/// so the result is bit-identical for every worker count, and equal bit
+/// for bit to [`knn_shapley_cached`] on a cache of the same data.
 ///
 /// ```
 /// use nde_importance::knn_shapley::knn_shapley;
@@ -70,23 +89,6 @@ fn elementwise_add(mut acc: Vec<f64>, part: Vec<f64>) -> Vec<f64> {
 /// assert!(phi[3] < 0.0);
 /// ```
 pub fn knn_shapley(train: &ClassDataset, valid: &ClassDataset, k: usize) -> Vec<f64> {
-    // The single-worker parallel path is the serial algorithm: identical
-    // chunk decomposition and fold order, so `knn_shapley` and
-    // `knn_shapley_parallel` agree bit-for-bit at every thread count.
-    knn_shapley_parallel(train, valid, k, 1)
-}
-
-/// Multi-threaded [`knn_shapley`]: validation points are embarrassingly
-/// parallel. Work is split into fixed-size chunks whose boundaries depend
-/// only on the validation count, and chunk partials are summed in chunk
-/// order — so the result is bit-identical for any `threads` value
-/// (including 1), and [`knn_shapley`] is exactly the 1-worker case.
-pub fn knn_shapley_parallel(
-    train: &ClassDataset,
-    valid: &ClassDataset,
-    k: usize,
-    threads: usize,
-) -> Vec<f64> {
     let n = train.len();
     if n == 0 || valid.is_empty() {
         return vec![0.0; n];
@@ -96,22 +98,16 @@ pub fn knn_shapley_parallel(
     span.field("n_train", n);
     span.field("n_valid", valid.len());
     span.field("k", k);
-    let mut total = par_reduce_with(
-        threads,
+    let mut total = par_reduce(
         valid.len(),
         VALID_CHUNK,
         vec![0.0f64; n],
         |chunk| {
             let mut scores = vec![0.0f64; n];
-            let mut order: Vec<u32> = (0..n as u32).collect();
             for v in chunk {
-                let (xv, yv) = (valid.x.row(v), valid.y[v]);
-                order.sort_by(|&a, &b| {
-                    sq_dist(train.x.row(a as usize), xv)
-                        .total_cmp(&sq_dist(train.x.row(b as usize), xv))
-                        .then(a.cmp(&b))
-                });
-                accumulate_one(&mut scores, &order, &train.y, yv, k);
+                let xv = valid.x.row(v);
+                let ranked = rank_all(n, |t| sq_dist(train.x.row(t), xv));
+                accumulate_one(&mut scores, &ranked, &train.y, valid.y[v], k);
             }
             scores
         },
@@ -136,8 +132,7 @@ pub fn build_neighbor_cache(train: &ClassDataset, valid: &ClassDataset) -> Neigh
 /// [`knn_shapley`] from a prebuilt [`NeighborCache`]: skips every distance
 /// computation and sort. Labels are passed separately so a cleaning loop
 /// can re-score after label repairs without touching the cache. Equals
-/// [`knn_shapley`] on the same data to rounding, and is bit-identical
-/// across thread counts.
+/// [`knn_shapley`] on the same data bit for bit, for every thread count.
 pub fn knn_shapley_cached(
     cache: &NeighborCache,
     train_y: &[usize],
@@ -146,8 +141,7 @@ pub fn knn_shapley_cached(
 ) -> Vec<f64> {
     let n = cache.n_train();
     let m = cache.n_valid();
-    assert_eq!(n, train_y.len(), "train_y length must match the cache");
-    assert_eq!(m, valid_y.len(), "valid_y length must match the cache");
+    check_labels(n, m, train_y, valid_y);
     if n == 0 || m == 0 {
         return vec![0.0; n];
     }
@@ -165,11 +159,8 @@ pub fn knn_shapley_cached(
         vec![0.0f64; n],
         |chunk| {
             let mut scores = vec![0.0f64; n];
-            let mut order: Vec<u32> = Vec::with_capacity(n);
             for v in chunk {
-                order.clear();
-                order.extend(cache.neighbors(v).iter().map(|&(_, t)| t));
-                accumulate_one(&mut scores, &order, train_y, valid_y[v], k);
+                accumulate_one(&mut scores, cache.neighbors(v), train_y, valid_y[v], k);
             }
             scores
         },
@@ -286,6 +277,7 @@ pub fn knn_utility_cached(
 ) -> f64 {
     let n = cache.n_train();
     let m = cache.n_valid();
+    check_labels(n, m, train_y, valid_y);
     if n == 0 || m == 0 {
         return 0.0;
     }
@@ -301,6 +293,7 @@ pub fn knn_utility_cached(
 pub fn knn_utility_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: usize) -> f64 {
     let n = cache.n_train();
     let m = cache.n_valid();
+    check_labels(n, m, train_y, valid_y);
     if n == 0 || m == 0 {
         return 0.0;
     }
@@ -328,6 +321,7 @@ pub fn knn_loo_cached(
 ) -> Vec<f64> {
     let n = cache.n_train();
     let m = cache.n_valid();
+    check_labels(n, m, train_y, valid_y);
     if n == 0 || m == 0 {
         return vec![0.0; n];
     }
@@ -347,6 +341,7 @@ pub fn knn_loo_cached(
 pub fn knn_loo_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: usize) -> Vec<f64> {
     let n = cache.n_train();
     let m = cache.n_valid();
+    check_labels(n, m, train_y, valid_y);
     if n == 0 || m == 0 {
         return vec![0.0; n];
     }
@@ -502,38 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let train = dataset(&[
-            (0.0, 0),
-            (0.5, 1),
-            (1.0, 0),
-            (2.0, 1),
-            (3.0, 0),
-            (4.0, 1),
-            (5.0, 0),
-        ]);
-        let valid = dataset(&[
-            (0.2, 0),
-            (1.5, 1),
-            (2.5, 0),
-            (3.5, 1),
-            (4.5, 0),
-            (0.9, 1),
-            (2.2, 0),
-            (3.8, 1),
-        ]);
-        for k in [1usize, 3] {
-            let serial = knn_shapley(&train, &valid, k);
-            for threads in [2usize, 3, 8] {
-                let parallel = knn_shapley_parallel(&train, &valid, k, threads);
-                for (s, p) in serial.iter().zip(&parallel) {
-                    assert!((s - p).abs() < 1e-12, "k={k}, threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_under_distance_ties() {
         let train = dataset(&[(1.0, 0), (1.0, 1), (1.0, 0)]);
         let valid = dataset(&[(1.0, 0)]);
@@ -569,6 +532,10 @@ mod tests {
         (train, valid)
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn cached_shapley_and_utility_match_direct() {
         let (train, valid) = bigger_pair();
@@ -576,9 +543,9 @@ mod tests {
         for k in [1usize, 3, 5] {
             let direct = knn_shapley(&train, &valid, k);
             let cached = knn_shapley_cached(&cache, &train.y, &valid.y, k);
-            for (d, c) in direct.iter().zip(&cached) {
-                assert!((d - c).abs() < 1e-12, "k={k}: {direct:?} vs {cached:?}");
-            }
+            assert_eq!(bits(&direct), bits(&cached), "k={k}");
+            // The oracle `knn_utility` sums serially, the cached path in
+            // chunk partials, so the two agree only to rounding.
             let u_direct = knn_utility(&train, &valid, k);
             let u_cached = knn_utility_cached(&cache, &train.y, &valid.y, k);
             assert!((u_direct - u_cached).abs() < 1e-12, "k={k}");
@@ -631,6 +598,42 @@ mod tests {
         let _ = knn_utility_topk(&topk, &train.y, &valid.y, 5);
     }
 
+    // A label vector of the wrong length, too long or too short, is
+    // rejected by name rather than scored or indexed out of bounds.
+    #[test]
+    #[should_panic(expected = "train_y length must match the cache")]
+    fn utility_cached_rejects_long_train_labels() {
+        let (mut train, valid) = bigger_pair();
+        let cache = build_neighbor_cache(&train, &valid);
+        train.y.push(0);
+        let _ = knn_utility_cached(&cache, &train.y, &valid.y, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid_y length must match the cache")]
+    fn loo_cached_rejects_short_valid_labels() {
+        let (train, valid) = bigger_pair();
+        let cache = build_neighbor_cache(&train, &valid);
+        let _ = knn_loo_cached(&cache, &train.y, &valid.y[1..], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "train_y length must match the cache")]
+    fn utility_topk_rejects_short_train_labels() {
+        let (train, valid) = bigger_pair();
+        let cache = build_topk_cache(&train, &valid, 3);
+        let _ = knn_utility_topk(&cache, &train.y[1..], &valid.y, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid_y length must match the cache")]
+    fn loo_topk_rejects_long_valid_labels() {
+        let (train, mut valid) = bigger_pair();
+        let cache = build_topk_cache(&train, &valid, 3);
+        valid.y.push(0);
+        let _ = knn_loo_topk(&cache, &train.y, &valid.y, 3);
+    }
+
     #[test]
     fn cache_update_tracks_label_and_feature_repairs() {
         let (mut train, valid) = bigger_pair();
@@ -647,9 +650,7 @@ mod tests {
             let cold = knn_shapley_cached(&rebuilt, &train.y, &valid.y, k);
             assert_eq!(warm, cold, "k={k}");
             let direct = knn_shapley(&train, &valid, k);
-            for (w, d) in warm.iter().zip(&direct) {
-                assert!((w - d).abs() < 1e-12, "k={k}");
-            }
+            assert_eq!(bits(&warm), bits(&direct), "k={k}");
         }
     }
 }

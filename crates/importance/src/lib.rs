@@ -49,7 +49,7 @@ pub mod utility;
 pub use aum::{aum_scores, AumConfig};
 pub use confident::{confident_learning, ConfidentReport};
 pub use influence::{influence_scores, InfluenceConfig};
-pub use knn_shapley::{knn_shapley, knn_shapley_parallel, knn_utility};
+pub use knn_shapley::{knn_shapley, knn_utility};
 pub use loo::leave_one_out;
 pub use rank::{rank_ascending, rank_descending, spearman};
 pub use semivalue::{

@@ -15,6 +15,7 @@ use nde_learners::dataset::ClassDataset;
 use nde_learners::matrix::{sq_dist, Matrix};
 use nde_learners::preprocessing::text::SentenceEmbedder;
 use nde_learners::{LearnError, Result};
+use nde_parallel::neighbor_order::k_nearest;
 
 /// A retrieval corpus: embedded documents with answer labels.
 pub struct RagCorpus {
@@ -60,14 +61,11 @@ impl RagCorpus {
 
     /// Answers a query by majority vote over the `k` nearest documents.
     pub fn answer(&self, query: &[f64], k: usize) -> usize {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| {
-            sq_dist(self.embeddings.row(a), query)
-                .total_cmp(&sq_dist(self.embeddings.row(b), query))
-                .then(a.cmp(&b))
+        let nearest = k_nearest(self.len(), k.max(1), |i| {
+            sq_dist(self.embeddings.row(i), query)
         });
         let mut votes = vec![0usize; self.n_answers];
-        for &i in order.iter().take(k.max(1)) {
+        for (_, i) in nearest {
             votes[self.labels[i]] += 1;
         }
         votes

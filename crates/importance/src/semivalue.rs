@@ -4,7 +4,7 @@
 //! maximum-sample-reuse Data Banzhaf estimator (Wang & Jia 2023).
 
 use crate::utility::Utility;
-use nde_parallel::{chunk_seed, par_reduce_with};
+use nde_parallel::{chunk_seed, par_reduce};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -12,7 +12,7 @@ use std::fmt;
 
 /// Samples per RNG chunk for the Monte Carlo estimators. Chunk boundaries
 /// (and hence per-chunk seeds) depend only on the sample count, so the
-/// estimates are bit-identical for any thread count.
+/// estimates are bit-identical for any `NDE_THREADS` value.
 const SAMPLE_CHUNK: usize = 8;
 
 /// Errors from the valuation algorithms.
@@ -53,10 +53,6 @@ pub struct McConfig {
     /// the full-set value, the rest of the permutation's marginals are
     /// treated as zero. `None` disables truncation.
     pub truncation: Option<f64>,
-    /// Worker threads. Purely a scheduling knob: samples are split into
-    /// fixed-size seed chunks and partials are folded in chunk order, so
-    /// for a fixed seed the results are bit-identical for any value here.
-    pub threads: usize,
 }
 
 impl Default for McConfig {
@@ -65,7 +61,6 @@ impl Default for McConfig {
             samples: 200,
             seed: 42,
             truncation: Some(1e-4),
-            threads: nde_parallel::num_threads(),
         }
     }
 }
@@ -77,19 +72,12 @@ impl McConfig {
             samples,
             seed,
             truncation: None,
-            threads: 1,
         }
     }
 
     /// Enables TMC truncation with tolerance `tol`.
     pub fn with_truncation(mut self, tol: f64) -> Self {
         self.truncation = Some(tol);
-        self
-    }
-
-    /// Sets the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 }
@@ -219,9 +207,8 @@ fn permutation_semivalue(
 
     // Fixed-size sample chunks, each with its own seed derived from the
     // chunk index; partials fold in chunk order. The thread count only
-    // schedules chunks, so the estimate is identical for any `threads`.
-    let mut sums = par_reduce_with(
-        cfg.threads,
+    // schedules chunks, so the estimate is identical for any worker count.
+    let mut sums = par_reduce(
         cfg.samples,
         SAMPLE_CHUNK,
         vec![0.0f64; n],
@@ -287,8 +274,7 @@ pub fn banzhaf_msr(util: &dyn Utility, cfg: &McConfig) -> Vec<f64> {
         cnt_out: Vec<usize>,
     }
     let (sum_in, cnt_in, sum_out, cnt_out) = {
-        let folded = par_reduce_with(
-            cfg.threads,
+        let folded = par_reduce(
             cfg.samples,
             SAMPLE_CHUNK,
             MsrPartial {
@@ -463,15 +449,6 @@ mod tests {
         };
         let mc = tmc_shapley(&util, &McConfig::new(500, 2).with_truncation(1e-9));
         assert!(close(&mc, &[1.0, 1.0, 1.0], 1e-9), "{mc:?}");
-    }
-
-    #[test]
-    fn multithreaded_tmc_is_consistent() {
-        let util = AdditiveUtility {
-            weights: vec![2.0, -1.0, 0.5, 1.5],
-        };
-        let mc = tmc_shapley(&util, &McConfig::new(2000, 3).with_threads(4));
-        assert!(close(&mc, &util.weights, 0.15), "{mc:?}");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! that keeps the tutorial's k-NN machinery (prediction, KNN-Shapley,
 //! CPClean) scalable beyond brute-force scans (§2.4's scalability theme).
 //!
-//! Queries return exactly the same neighbors as a brute-force scan,
-//! including the deterministic distance-then-index tie-breaking the rest
-//! of the workspace relies on.
+//! Queries return exactly the same neighbors as a brute-force scan: leaf
+//! points are offered to the workspace's bounded k-nearest selector
+//! (`nde_parallel::neighbor_order::KNearest`), so the tree ranks by the
+//! same `(distance, index)` order as every other k-NN path.
 //!
 //! Split axes are chosen by **widest spread**, not by cycling dimensions:
 //! encoded tables are full of constant and one-hot columns (see
@@ -23,6 +24,7 @@
 //! `NDE_TRACE` is off.
 
 use crate::matrix::{sq_dist, Matrix};
+use nde_parallel::neighbor_order::KNearest;
 
 /// A node: either a leaf of point indices or a split.
 #[derive(Debug, Clone)]
@@ -44,52 +46,6 @@ pub struct KdTree {
     data: Matrix,
     root: Node,
     leaf_size: usize,
-}
-
-/// A bounded max-"heap" of the current best (distance, index) candidates,
-/// ordered so the worst candidate is cheap to inspect. Kept as a sorted
-/// vector: k is small in every use here.
-struct BestK {
-    k: usize,
-    items: Vec<(f64, usize)>, // sorted ascending by (distance, index)
-    offered: usize,
-}
-
-impl BestK {
-    fn new(k: usize) -> Self {
-        BestK {
-            k,
-            items: Vec::with_capacity(k),
-            offered: 0,
-        }
-    }
-
-    fn worst_distance(&self) -> f64 {
-        if self.items.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.items.last().map(|&(d, _)| d).unwrap_or(f64::INFINITY)
-        }
-    }
-
-    fn offer(&mut self, distance: f64, index: usize) {
-        self.offered += 1;
-        let candidate = (distance, index);
-        if self.items.len() == self.k {
-            // Early reject: a candidate no better than the current worst
-            // keeper can never enter a full heap — dense leaves would
-            // otherwise pay an O(k) insert-then-pop per point.
-            let worst = *self.items.last().expect("full heap is non-empty");
-            if candidate >= worst {
-                return;
-            }
-            self.items.pop();
-        }
-        let pos = self
-            .items
-            .partition_point(|&(d, i)| (d, i) < (candidate.0, candidate.1));
-        self.items.insert(pos, candidate);
-    }
 }
 
 impl KdTree {
@@ -173,13 +129,13 @@ impl KdTree {
         if self.is_empty() || k == 0 {
             return Vec::new();
         }
-        let mut best = BestK::new(k.min(self.len()));
+        let mut best = KNearest::new(k.min(self.len()));
         search(&self.data, &self.root, query, &mut best);
         if nde_trace::enabled() {
             nde_trace::counter("kdtree.query").incr();
-            nde_trace::counter("kdtree.points_scanned").add(best.offered as u64);
+            nde_trace::counter("kdtree.points_scanned").add(best.offered() as u64);
         }
-        best.items
+        best.into_sorted()
     }
 }
 
@@ -234,7 +190,7 @@ fn build_node(data: &Matrix, mut indices: Vec<usize>, leaf_size: usize) -> Node 
     }
 }
 
-fn search(data: &Matrix, node: &Node, query: &[f64], best: &mut BestK) {
+fn search(data: &Matrix, node: &Node, query: &[f64], best: &mut KNearest) {
     match node {
         Node::Leaf { points } => {
             for &i in points {
@@ -423,21 +379,5 @@ mod tests {
         let tree = KdTree::with_leaf_size(data.clone(), 8);
         let query = vec![3.0; 16];
         assert_eq!(tree.nearest(&query, 7), brute_force(&data, &query, 7));
-    }
-
-    #[test]
-    fn best_k_early_reject_keeps_exact_order() {
-        let mut best = BestK::new(3);
-        for (d, i) in [(5.0, 0), (1.0, 1), (3.0, 2), (9.0, 3), (1.0, 4), (0.5, 5)] {
-            best.offer(d, i);
-        }
-        assert_eq!(best.items, vec![(0.5, 5), (1.0, 1), (1.0, 4)]);
-        assert_eq!(best.offered, 6);
-        // Equal-to-worst candidates with a higher index must be rejected.
-        best.offer(1.0, 9);
-        assert_eq!(best.items, vec![(0.5, 5), (1.0, 1), (1.0, 4)]);
-        // …but an equal distance with a *lower* index enters.
-        best.offer(1.0, 0);
-        assert_eq!(best.items, vec![(0.5, 5), (1.0, 0), (1.0, 1)]);
     }
 }

@@ -10,6 +10,7 @@ use crate::dataset::ClassDataset;
 use crate::matrix::{sq_dist, Matrix};
 use crate::traits::{ConstantModel, Learner, Model};
 use crate::Result;
+use nde_parallel::neighbor_order::k_nearest;
 
 /// k-NN learner configuration.
 #[derive(Debug, Clone)]
@@ -86,7 +87,10 @@ impl FittedKnn {
         if let Some(tree) = &self.index {
             return tree.nearest(query, self.k);
         }
-        top_k_neighbors(self.x.nrows(), self.k, |i| sq_dist(self.x.row(i), query))
+        k_nearest(self.x.nrows(), self.k, |i| sq_dist(self.x.row(i), query))
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect()
     }
 
     /// The effective number of neighbors.
@@ -134,50 +138,6 @@ impl Model for FittedKnn {
         .flatten()
         .collect()
     }
-}
-
-/// The `k` indices with smallest `dist(i)`, ordered by `(distance, index)`
-/// ascending — a bounded max-heap over the candidates, so selection costs
-/// O(n log k) instead of the O(n log n) of sorting every distance. The
-/// tie-break matches a full sort exactly: a candidate displaces the heap
-/// top only when strictly smaller under the `(distance, index)` order.
-fn top_k_neighbors(n: usize, k: usize, dist: impl Fn(usize) -> f64) -> Vec<usize> {
-    use std::collections::BinaryHeap;
-
-    /// `(distance, index)` with `Ord` by distance then index — distances
-    /// come from `sq_dist`, which never yields NaN.
-    #[derive(PartialEq)]
-    struct Entry(f64, usize);
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-
-    let k = k.min(n);
-    if k == 0 {
-        return Vec::new();
-    }
-    // Max-heap of the k best so far: the top is the current worst keeper.
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k + 1);
-    for i in 0..n {
-        let entry = Entry(dist(i), i);
-        if heap.len() < k {
-            heap.push(entry);
-        } else if entry < *heap.peek().expect("heap is non-empty") {
-            heap.pop();
-            heap.push(entry);
-        }
-    }
-    let mut best = heap.into_sorted_vec();
-    debug_assert!(best.len() == k);
-    best.drain(..).map(|Entry(_, i)| i).collect()
 }
 
 /// Index of the maximum value (first on ties).
@@ -292,8 +252,16 @@ mod tests {
                 }
             }
             let query: Vec<f64> = (0..dims).map(|_| rng.random_range(0.0..4.0)).collect();
+            let x = Matrix::from_rows(&rows).unwrap();
             for k in [1usize, 3, n, n + 5] {
-                let fast = top_k_neighbors(n, k, |i| sq_dist(&rows[i], &query));
+                let model = FittedKnn {
+                    x: x.clone(),
+                    y: vec![0; n],
+                    n_classes: 1,
+                    k,
+                    index: None,
+                };
+                let fast = model.neighbors(&query);
                 let mut reference: Vec<(f64, usize)> =
                     (0..n).map(|i| (sq_dist(&rows[i], &query), i)).collect();
                 reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -1,7 +1,7 @@
 #![deny(missing_docs)]
 //! Deterministic parallel execution layer (std-only).
 //!
-//! Two pieces, shared by the Identify/Debug/Learn hot paths:
+//! Three pieces, shared by the Identify/Debug/Learn hot paths:
 //!
 //! 1. **Fixed-chunk fan-out** ([`par_map_chunks`], [`par_reduce`],
 //!    [`par_for_each_mut`]): work is split into chunks whose boundaries
@@ -17,6 +17,10 @@
 //!    sibling [`TopKCache`] keeps only the `k` nearest per validation
 //!    point, letting index-backed builds (k-d tree queries) skip the full
 //!    distance matrix for the paths that never read past rank `k`.
+//! 3. **[`neighbor_order`]**: the one `(distance, index)` order every
+//!    exact k-NN path ranks by, with [`neighbor_order::rank_all`] for full
+//!    orderings and the bounded [`neighbor_order::KNearest`] selector for
+//!    k-prefixes (k-d-tree search, brute-force k-NN).
 //!
 //! Worker count comes from [`num_threads`]: the `NDE_THREADS` environment
 //! variable when set, else `std::thread::available_parallelism()`.
@@ -39,6 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 mod neighbor_cache;
+pub mod neighbor_order;
 
 pub use neighbor_cache::{NeighborCache, TopKCache};
 
@@ -193,26 +198,6 @@ where
     G: FnMut(A, R) -> A,
 {
     par_map_chunks(len, chunk_len, map)
-        .into_iter()
-        .fold(init, fold)
-}
-
-/// [`par_reduce`] with an explicit worker cap instead of [`num_threads`].
-/// As with [`par_map_chunks_with`], the result never depends on `workers`.
-pub fn par_reduce_with<A, R, F, G>(
-    workers: usize,
-    len: usize,
-    chunk_len: usize,
-    init: A,
-    map: F,
-    fold: G,
-) -> A
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    par_map_chunks_with(workers, len, chunk_len, map)
         .into_iter()
         .fold(init, fold)
 }

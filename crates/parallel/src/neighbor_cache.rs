@@ -3,7 +3,9 @@
 //! plus [`TopKCache`], its truncated sibling for paths that only ever
 //! read the `k` nearest neighbors.
 
+use crate::neighbor_order::{self, rank_all};
 use crate::{par_for_each_mut, par_map_chunks};
+use std::cmp::Ordering;
 
 /// For each validation point, the full list of training rows sorted by
 /// `(distance, row index)` ascending. Building it costs one full distance
@@ -18,10 +20,11 @@ pub struct NeighborCache {
     lists: Vec<Vec<(f64, u32)>>,
 }
 
-fn sort_key(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
-    a.0.partial_cmp(&b.0)
-        .expect("neighbor distances must not be NaN")
-        .then(a.1.cmp(&b.1))
+/// Rejects NaN distances: the cached lists feed binary searches and
+/// closed-form recursions that assume a meaningful order.
+fn checked(distance: f64) -> f64 {
+    assert!(!distance.is_nan(), "neighbor distances must not be NaN");
+    distance
 }
 
 impl NeighborCache {
@@ -30,11 +33,11 @@ impl NeighborCache {
     const CHUNK: usize = 8;
 
     /// Builds the cache from a distance oracle. `dist(t, v)` must return a
-    /// non-NaN distance between training row `t` and validation point `v`;
-    /// ties are broken by training index, matching the KNN-Shapley
-    /// convention. Runs in parallel over validation points, yet the result
-    /// is identical for every thread count (each list is a pure function
-    /// of its own distances).
+    /// non-NaN distance between training row `t` and validation point `v`
+    /// (NaN panics); each list is ranked by [`neighbor_order::rank_all`].
+    /// Runs in parallel over validation points, yet the result is
+    /// identical for every thread count (each list is a pure function of
+    /// its own distances).
     pub fn build<F>(n_train: usize, n_valid: usize, dist: F) -> Self
     where
         F: Fn(usize, usize) -> f64 + Sync,
@@ -51,12 +54,7 @@ impl NeighborCache {
         span.field("n_valid", n_valid);
         let lists: Vec<Vec<(f64, u32)>> = par_map_chunks(n_valid, Self::CHUNK, |range| {
             range
-                .map(|v| {
-                    let mut list: Vec<(f64, u32)> =
-                        (0..n_train).map(|t| (dist(t, v), t as u32)).collect();
-                    list.sort_by(sort_key);
-                    list
-                })
+                .map(|v| rank_all(n_train, |t| checked(dist(t, v))))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -104,9 +102,8 @@ impl NeighborCache {
                 .position(|&(_, t)| t == row32)
                 .expect("every training row appears in every list");
             list.remove(old);
-            let entry = (new_dist(v), row32);
-            assert!(!entry.0.is_nan(), "neighbor distances must not be NaN");
-            let at = list.partition_point(|e| sort_key(e, &entry) == std::cmp::Ordering::Less);
+            let entry = (checked(new_dist(v)), row32);
+            let at = list.partition_point(|e| neighbor_order::cmp(e, &entry) == Ordering::Less);
             list.insert(at, entry);
         });
     }
@@ -163,9 +160,7 @@ impl TopKCache {
                         expected,
                         "query({v}) must return min(k, n_train) neighbors"
                     );
-                    debug_assert!(list
-                        .windows(2)
-                        .all(|w| sort_key(&w[0], &w[1]) != std::cmp::Ordering::Greater));
+                    debug_assert!(list.is_sorted_by(|a, b| neighbor_order::cmp(a, b).is_le()));
                     list
                 })
                 .collect::<Vec<_>>()
@@ -231,9 +226,7 @@ mod tests {
         for v in 0..9 {
             let list = cache.neighbors(v);
             assert_eq!(list.len(), 40);
-            assert!(list
-                .windows(2)
-                .all(|w| sort_key(&w[0], &w[1]) != std::cmp::Ordering::Greater));
+            assert!(list.is_sorted_by(|a, b| neighbor_order::cmp(a, b).is_le()));
             let mut seen: Vec<u32> = list.iter().map(|&(_, t)| t).collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..40).collect::<Vec<u32>>());
@@ -262,14 +255,15 @@ mod tests {
         assert_eq!(order, (0..12).collect::<Vec<u32>>());
     }
 
-    /// Brute-force top-k query oracle with the cache's tie-break.
+    /// Brute-force top-k query oracle with the cache's tie-break, written
+    /// out independently of `neighbor_order`.
     fn brute_top_k(train: &[Vec<f64>], valid: &[Vec<f64>], v: usize, k: usize) -> Vec<(f64, u32)> {
         let mut list: Vec<(f64, u32)> = train
             .iter()
             .enumerate()
             .map(|(t, row)| (sq_dist(row, &valid[v]), t as u32))
             .collect();
-        list.sort_by(sort_key);
+        list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         list.truncate(k.min(train.len()));
         list
     }
@@ -292,6 +286,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn build_rejects_nan_distances() {
+        let _ = NeighborCache::build(4, 2, |t, v| if t == 2 && v == 1 { f64::NAN } else { 1.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn update_row_rejects_nan_distances() {
+        let mut cache = NeighborCache::build(4, 2, |t, v| (t + v) as f64);
+        cache.update_row(3, |v| if v == 1 { f64::NAN } else { 0.5 });
     }
 
     #[test]

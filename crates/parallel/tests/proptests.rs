@@ -1,9 +1,19 @@
 //! Property-based tests for the deterministic parallel layer: the
 //! incremental [`NeighborCache`] repair path must be indistinguishable from
-//! rebuilding the cache from scratch, for any data and repair sequence.
+//! rebuilding the cache from scratch, for any data and repair sequence, and
+//! the neighbor-order rankings must equal an independent full sort.
 
+use nde_parallel::neighbor_order::{k_nearest, rank_all, KNearest};
 use nde_parallel::NeighborCache;
 use proptest::prelude::*;
+
+/// The neighbor order written out independently of `neighbor_order`: a
+/// full sort by distance, then index.
+fn reference_ranking(dists: &[f64]) -> Vec<(f64, usize)> {
+    let mut all: Vec<(f64, usize)> = dists.iter().copied().zip(0..).collect();
+    all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    all
+}
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -48,7 +58,7 @@ proptest! {
         prop_assert_eq!(&cache, &rebuilt);
     }
 
-    /// Chunked parallel reduction of a float sum is bit-identical to the
+    /// A chunked float sum folded in chunk order is bit-identical to the
     /// single-worker fold for any worker cap.
     #[test]
     fn par_reduce_is_worker_count_invariant(
@@ -56,15 +66,42 @@ proptest! {
         workers in 1usize..9,
     ) {
         let sum = |w: usize| {
-            nde_parallel::par_reduce_with(
-                w,
-                values.len(),
-                5,
-                0.0f64,
-                |r| r.map(|i| values[i]).fold(0.0f64, |a, b| a + b),
-                |acc, part| acc + part,
-            )
+            nde_parallel::par_map_chunks_with(w, values.len(), 5, |r| {
+                r.map(|i| values[i]).fold(0.0f64, |a, b| a + b)
+            })
+            .into_iter()
+            .fold(0.0f64, |acc, part| acc + part)
         };
         prop_assert_eq!(sum(workers).to_bits(), sum(1).to_bits());
+    }
+
+    /// `rank_all` equals the reference sort, and the k-nearest selector
+    /// equals its prefix for k = 0, 1, n and n + 5 — whether fed in index
+    /// order (`k_nearest`) or in reverse, as a tree search might. Half the
+    /// distances come from four values, so ties are common.
+    #[test]
+    fn rankings_match_an_independent_full_sort(
+        dists in prop::collection::vec(
+            prop_oneof![(0usize..4).prop_map(|d| d as f64), -50.0f64..50.0],
+            0..40,
+        )
+    ) {
+        let n = dists.len();
+        let reference = reference_ranking(&dists);
+        let ranked: Vec<(f64, usize)> = rank_all(n, |i| dists[i])
+            .into_iter()
+            .map(|(d, i)| (d, i as usize))
+            .collect();
+        prop_assert_eq!(&ranked, &reference);
+        for k in [0, 1, n, n + 5] {
+            let prefix = &reference[..k.min(n)];
+            prop_assert_eq!(&k_nearest(n, k, |i| dists[i]), prefix);
+            let mut reversed = KNearest::new(k.min(n));
+            for i in (0..n).rev() {
+                reversed.offer(dists[i], i);
+            }
+            prop_assert_eq!(reversed.offered(), n);
+            prop_assert_eq!(&reversed.into_sorted(), prefix);
+        }
     }
 }

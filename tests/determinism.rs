@@ -3,13 +3,18 @@
 //! The parallel layer guarantees this by fixing chunk boundaries as a
 //! function of input length and folding partial results in chunk order —
 //! these tests are the contract.
+//!
+//! Entry points take their worker count from `NDE_THREADS`, so the tests
+//! sweep that variable through [`sweep_threads`], which holds a lock for
+//! the whole sweep: the environment is process-global and the tests of
+//! this file run concurrently.
 
 use nde_core::challenge::{Challenge, ChallengeConfig};
 use nde_core::cleaning::Strategy;
 use nde_core::scenario::encode_splits;
 use nde_datagen::errors::{flip_labels, inject_missing, Mechanism};
 use nde_datagen::{HiringConfig, HiringScenario};
-use nde_importance::knn_shapley::{build_topk_cache, knn_shapley, knn_shapley_parallel};
+use nde_importance::knn_shapley::{build_topk_cache, knn_shapley};
 use nde_importance::semivalue::{banzhaf_msr, tmc_shapley, McConfig};
 use nde_importance::utility::{ModelUtility, UtilityMetric};
 use nde_learners::dataset::ClassDataset;
@@ -17,8 +22,32 @@ use nde_learners::{KnnClassifier, Learner};
 use nde_uncertain::cpclean::{certain_fraction, IncompleteDataset};
 use nde_uncertain::incomplete::IncompleteMatrix;
 use nde_uncertain::interval::Interval;
+use std::sync::Mutex;
 
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Serializes every `NDE_THREADS` sweep in this file.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `run` under `NDE_THREADS=1` for the reference, then under each of
+/// [`THREADS`], handing each result to `check(threads, reference,
+/// candidate)`. Returns the reference.
+fn sweep_threads<R>(run: impl Fn() -> R, check: impl Fn(usize, &R, &R)) -> R {
+    // A failed sweep poisons the lock; the next one may still run, since
+    // it sets `NDE_THREADS` itself before reading any result.
+    let _guard = ENV_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::env::set_var("NDE_THREADS", "1");
+    let reference = run();
+    for threads in THREADS {
+        std::env::set_var("NDE_THREADS", threads.to_string());
+        let candidate = run();
+        check(threads, &reference, &candidate);
+    }
+    std::env::remove_var("NDE_THREADS");
+    reference
+}
 
 fn encoded_splits() -> (ClassDataset, ClassDataset) {
     let s = HiringScenario::generate(&HiringConfig {
@@ -50,11 +79,12 @@ fn assert_bit_identical(name: &str, reference: &[f64], candidate: &[f64], thread
 #[test]
 fn knn_shapley_is_thread_count_invariant() {
     let (train, valid) = encoded_splits();
-    let serial = knn_shapley(&train, &valid, 5);
-    for threads in THREADS {
-        let parallel = knn_shapley_parallel(&train, &valid, 5, threads);
-        assert_bit_identical("knn_shapley", &serial, &parallel, threads);
-    }
+    sweep_threads(
+        || knn_shapley(&train, &valid, 5),
+        |threads, reference, scores| {
+            assert_bit_identical("knn_shapley", reference, scores, threads)
+        },
+    );
 }
 
 #[test]
@@ -62,16 +92,13 @@ fn tmc_shapley_is_thread_count_invariant() {
     let (train, valid) = encoded_splits();
     let learner = KnnClassifier::new(5);
     let util = ModelUtility::new(&learner, &train, &valid, UtilityMetric::Accuracy);
-    let cfg = |threads| {
-        McConfig::new(24, 9)
-            .with_truncation(1e-3)
-            .with_threads(threads)
-    };
-    let reference = tmc_shapley(&util, &cfg(1));
-    for threads in THREADS {
-        let scores = tmc_shapley(&util, &cfg(threads));
-        assert_bit_identical("tmc_shapley", &reference, &scores, threads);
-    }
+    let cfg = McConfig::new(24, 9).with_truncation(1e-3);
+    sweep_threads(
+        || tmc_shapley(&util, &cfg),
+        |threads, reference, scores| {
+            assert_bit_identical("tmc_shapley", reference, scores, threads)
+        },
+    );
 }
 
 #[test]
@@ -79,19 +106,20 @@ fn banzhaf_msr_is_thread_count_invariant() {
     let (train, valid) = encoded_splits();
     let learner = KnnClassifier::new(5);
     let util = ModelUtility::new(&learner, &train, &valid, UtilityMetric::Accuracy);
-    let reference = banzhaf_msr(&util, &McConfig::new(24, 9).with_threads(1));
-    for threads in THREADS {
-        let scores = banzhaf_msr(&util, &McConfig::new(24, 9).with_threads(threads));
-        assert_bit_identical("banzhaf_msr", &reference, &scores, threads);
-    }
+    let cfg = McConfig::new(24, 9);
+    sweep_threads(
+        || banzhaf_msr(&util, &cfg),
+        |threads, reference, scores| {
+            assert_bit_identical("banzhaf_msr", reference, scores, threads)
+        },
+    );
 }
 
 /// Data-quality profiling shares the deterministic-parallel contract:
 /// the sharded profile of a realistic mixed-type table (floats with
 /// injected nulls, strings, ints, bools) must be bit-identical for any
 /// worker count at fixed chunk boundaries. Explicit worker counts are
-/// passed instead of mutating `NDE_THREADS` (environment mutation is
-/// process-global and owned by the test below).
+/// passed instead of sweeping `NDE_THREADS`.
 #[test]
 fn quality_profile_is_thread_count_invariant() {
     let s = HiringScenario::generate(&HiringConfig {
@@ -120,9 +148,9 @@ fn quality_profile_is_thread_count_invariant() {
     }
 }
 
-/// The env-driven entry points ([`certain_fraction`], the challenge
-/// leaderboard) take their worker count from `NDE_THREADS`. Exercised in a
-/// single test because environment mutation is process-global.
+/// The remaining env-driven entry points: [`certain_fraction`], the
+/// challenge leaderboard, indexed batch prediction and the kd-tree-fed
+/// top-k cache.
 #[test]
 fn env_driven_entry_points_are_thread_count_invariant() {
     // CPClean certain fraction over MNAR-corrupted ratings.
@@ -181,17 +209,16 @@ fn env_driven_entry_points_are_thread_count_invariant() {
         (fraction.to_bits(), standings, preds, topk_flat)
     };
 
-    std::env::set_var("NDE_THREADS", "1");
-    let reference = run();
+    let reference = sweep_threads(run, |threads, reference, candidate| {
+        assert_eq!(
+            candidate, reference,
+            "NDE_THREADS={threads} changed results"
+        )
+    });
     let brute = KnnClassifier::new(5).fit(&train).unwrap();
     assert_eq!(
         reference.2,
         brute.predict_batch(&valid.x),
         "indexed k-NN diverged from brute force"
     );
-    for threads in THREADS {
-        std::env::set_var("NDE_THREADS", threads.to_string());
-        assert_eq!(run(), reference, "NDE_THREADS={threads} changed results");
-    }
-    std::env::remove_var("NDE_THREADS");
 }
