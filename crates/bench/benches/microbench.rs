@@ -176,15 +176,18 @@ fn bench_zorro(c: &mut Criterion) {
 }
 
 fn bench_kdtree(c: &mut Criterion) {
+    use nde_learners::matrix::sq_dist;
     use nde_learners::models::kdtree::KdTree;
     use nde_learners::traits::Learner;
+    use nde_parallel::neighbor_order::k_nearest;
     let mut group = c.benchmark_group("knn_query");
     group.sample_size(10);
     let train = synth_dataset(5_000, 3);
-    let brute = KnnClassifier::new(5).fit(&train).unwrap();
-    let indexed = KnnClassifier::indexed(5).fit(&train).unwrap();
+    let indexed = KnnClassifier::new(5).fit(&train).unwrap();
     let query = [0.5, 0.5, 0.5];
-    group.bench_function("brute_5k", |b| b.iter(|| brute.predict(&query)));
+    group.bench_function("brute_5k", |b| {
+        b.iter(|| k_nearest(train.len(), 5, |i| sq_dist(train.x.row(i), &query)))
+    });
     group.bench_function("kdtree_5k", |b| b.iter(|| indexed.predict(&query)));
     group.bench_function("kdtree_build_5k", |b| {
         b.iter(|| KdTree::build(train.x.clone()))

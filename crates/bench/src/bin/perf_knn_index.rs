@@ -1,18 +1,19 @@
-//! **Perf** — brute-force vs k-d-tree-indexed k-NN on hiring features.
+//! **Perf** — k-d-tree-backed k-NN vs the brute-force oracle on hiring
+//! features.
 //!
-//! Measures the tentpole claim of the indexed neighbor path: on
-//! low-dimensional encoded hiring features (numerics + one-hot blocks —
-//! exactly the layout that used to degenerate the cycling-axis tree into
-//! one giant leaf) the kd-tree query path must be ≥2x faster than the
-//! brute-force scan at n ≥ 10k rows, while returning bit-identical
-//! predictions. Also compares the full sorted [`NeighborCache`] build
-//! against the kd-tree-fed truncated top-k build, and includes a
-//! high-dimensional honesty check (64-dim text embeddings) where kd-tree
-//! pruning is expected to fade.
+//! Every fitted k-NN model queries a k-d tree. On low-dimensional encoded
+//! hiring features (numerics + one-hot blocks — exactly the layout that
+//! used to degenerate the cycling-axis tree into one giant leaf) its query
+//! path must be ≥2x faster than the brute-force [`brute_knn_predict`]
+//! oracle at n ≥ 10k rows, while returning bit-identical predictions.
+//! Also compares the full sorted [`NeighborCache`] build against the
+//! kd-tree-fed truncated top-k build, and includes a high-dimensional
+//! honesty check (64-dim text embeddings) where kd-tree pruning is
+//! expected to fade.
 //!
 //! [`NeighborCache`]: nde_parallel::NeighborCache
 
-use nde_bench::{f4, row, section, timed_traced};
+use nde_bench::{brute_knn_predict, f4, row, section, timed_traced};
 use nde_core::scenario::encode_splits;
 use nde_datagen::{HiringConfig, HiringScenario};
 use nde_importance::knn_shapley::{build_neighbor_cache, build_topk_cache};
@@ -22,8 +23,9 @@ use nde_learners::{KnnClassifier, Learner};
 
 const K: usize = 5;
 
-/// Times brute vs indexed batch prediction on one encoded split, asserts
-/// bit-identity, prints the comparison, and returns the speedup.
+/// Times the brute-force oracle vs the fitted model's batch prediction on
+/// one encoded split, asserts bit-identity, prints the comparison, and
+/// returns the speedup.
 fn compare(train: &ClassDataset, valid: &ClassDataset) -> f64 {
     println!(
         "n_train = {}, n_valid = {}, dims = {}, k = {K}, threads = {}",
@@ -32,14 +34,12 @@ fn compare(train: &ClassDataset, valid: &ClassDataset) -> f64 {
         train.x.ncols(),
         nde_parallel::num_threads()
     );
-    let (brute, fit_brute) = timed_traced("phase.fit_brute", || {
-        KnnClassifier::new(K).fit(train).expect("fit brute")
-    });
     let (indexed, fit_indexed) = timed_traced("phase.fit_indexed", || {
-        KnnClassifier::indexed(K).fit(train).expect("fit indexed")
+        KnnClassifier::new(K).fit(train).expect("fit")
     });
-    let (p_brute, query_brute) =
-        timed_traced("phase.predict_brute", || brute.predict_batch(&valid.x));
+    let (p_brute, query_brute) = timed_traced("phase.predict_brute", || {
+        brute_knn_predict(train, &valid.x, K)
+    });
     let (p_indexed, query_indexed) =
         timed_traced("phase.predict_indexed", || indexed.predict_batch(&valid.x));
     assert_eq!(
@@ -48,7 +48,12 @@ fn compare(train: &ClassDataset, valid: &ClassDataset) -> f64 {
     );
     let speedup = query_brute / query_indexed;
     row(&["path", "fit_s", "predict_s", "speedup_vs_brute"]);
-    row(&["brute".to_string(), f4(fit_brute), f4(query_brute), f4(1.0)]);
+    row(&[
+        "brute".to_string(),
+        "-".to_string(),
+        f4(query_brute),
+        f4(1.0),
+    ]);
     row(&[
         "kdtree".to_string(),
         f4(fit_indexed),

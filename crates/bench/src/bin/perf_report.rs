@@ -18,6 +18,7 @@
 //! system temp dir) and are left on disk so CI can upload them as
 //! artifacts when the gate fails. See docs/OBSERVABILITY.md.
 
+use nde_bench::brute_knn_predict;
 use nde_bench::perf::{self, DiffThresholds, Snapshot};
 use nde_core::cleaning::iterative_cleaning_cached;
 use nde_core::pipeline_scenario::{
@@ -81,10 +82,11 @@ fn workload_fig3_pipeline() -> Option<u64> {
     Some(scenario.train.num_rows() as u64)
 }
 
-/// k-d-tree index at scale on low-dimensional hiring features: brute vs
-/// indexed batch prediction (bit-identity asserted) plus the truncated
-/// top-k neighbor-cache build. The `kdtree.points_scanned` counter from
-/// this workload is the tightest regression signal in the suite.
+/// k-d-tree index at scale on low-dimensional hiring features: the
+/// brute-force oracle vs the fitted model's batch prediction (bit-identity
+/// asserted) plus the truncated top-k neighbor-cache build. The
+/// `kdtree.points_scanned` counter from this workload is the tightest
+/// regression signal in the suite.
 fn workload_knn_index_scale() -> Option<u64> {
     let s = HiringScenario::generate(&HiringConfig {
         n_train: 4_000,
@@ -105,11 +107,10 @@ fn workload_knn_index_scale() -> Option<u64> {
     let train = fitted.transform(&s.train).expect("encode train");
     let valid = fitted.transform(&s.valid).expect("encode valid");
 
-    let brute = KnnClassifier::new(K).fit(&train).expect("fit brute");
-    let indexed = KnnClassifier::indexed(K).fit(&train).expect("fit indexed");
+    let indexed = KnnClassifier::new(K).fit(&train).expect("fit");
     let p_brute = {
         let _s = nde_trace::span("phase.predict_brute");
-        brute.predict_batch(&valid.x)
+        brute_knn_predict(&train, &valid.x, K)
     };
     let p_indexed = {
         let _s = nde_trace::span("phase.predict_indexed");

@@ -16,6 +16,10 @@
 //! quoted in EXPERIMENTS.md. With `NDE_TRACE` unset the stdout output is
 //! byte-identical to the untraced harness. See docs/OBSERVABILITY.md.
 
+use nde_learners::dataset::ClassDataset;
+use nde_learners::matrix::{sq_dist, Matrix};
+use nde_learners::models::knn::argmax;
+use nde_parallel::neighbor_order::k_nearest;
 use std::fmt::Display;
 use std::time::Instant;
 
@@ -94,6 +98,29 @@ pub fn iteration_boundary() {
     nde_trace::reset();
 }
 
+/// Brute-force k-NN predictions for the rows of `x`: each row's `k`
+/// nearest training rows by a full [`k_nearest`] scan, then a uniform
+/// vote. This is the oracle the k-d-tree-backed `KnnClassifier` must match
+/// bit for bit, and the baseline its query speedup is measured against, so
+/// it fans out over `NDE_THREADS` like `predict_batch` does.
+pub fn brute_knn_predict(train: &ClassDataset, x: &Matrix, k: usize) -> Vec<usize> {
+    nde_parallel::par_map_chunks(x.nrows(), 8, |range| {
+        range
+            .map(|r| {
+                let neighbors = k_nearest(train.len(), k, |i| sq_dist(train.x.row(i), x.row(r)));
+                let mut votes = vec![0.0; train.n_classes];
+                for &(_, i) in &neighbors {
+                    votes[train.y[i]] += 1.0 / neighbors.len() as f64;
+                }
+                argmax(&votes)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,5 +131,28 @@ mod tests {
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
         assert_eq!(f4(0.123456), "0.1235");
+    }
+
+    #[test]
+    fn brute_knn_predict_matches_the_fitted_model() {
+        use nde_learners::{KnnClassifier, Learner};
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i| vec![((i * 7) % 31) as f64, ((i * 13) % 17) as f64])
+            .collect();
+        let y: Vec<usize> = (0..60).map(|i| (i / 3) % 3).collect();
+        let train = ClassDataset::new(Matrix::from_rows(&rows).unwrap(), y, 3).unwrap();
+        let queries = Matrix::from_rows(
+            &(0..40)
+                .map(|q| vec![q as f64 * 0.7, (q * 3 % 15) as f64])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for k in [1, 4, 60] {
+            let model = KnnClassifier::new(k).fit(&train).unwrap();
+            assert_eq!(
+                brute_knn_predict(&train, &queries, k),
+                model.predict_batch(&queries)
+            );
+        }
     }
 }

@@ -222,11 +222,8 @@ pub fn iterative_cleaning_cached(
     let test_ds = encoder.transform(test)?;
     let mut cache = build_neighbor_cache(&train_ds, &valid_ds);
 
-    // Indexed k-NN: bit-identical to brute force, so cached Shapley scores
-    // and the reported accuracies are unchanged — only the test-set query
-    // cost drops.
     let evaluate = |train_ds: &ClassDataset| -> Result<f64> {
-        let model = KnnClassifier::indexed(k).fit(train_ds)?;
+        let model = KnnClassifier::new(k).fit(train_ds)?;
         Ok(accuracy(&test_ds.y, &model.predict_batch(&test_ds.x)))
     };
 

@@ -42,13 +42,11 @@ pub fn encode_splits(
 
 /// The `nde.evaluate_model` of Figure 2: train the tutorial's k-NN
 /// classifier on `train` and report accuracy on `test` (both raw tables;
-/// encoding is fit on `train`). Uses the k-d-tree-indexed learner: the
-/// index returns bit-identical neighbors to the brute-force scan, so every
-/// seed-pinned accuracy is unchanged while queries stay sublinear on the
-/// low-dimensional encoded hiring features.
+/// encoding is fit on `train` with the 69-dimensional
+/// [`standard_encoder`]).
 pub fn evaluate_model(train: &Table, test: &Table, k: usize) -> Result<f64> {
     let (_, train_ds, test_ds) = encode_splits(train, test)?;
-    let model = KnnClassifier::indexed(k).fit(&train_ds)?;
+    let model = KnnClassifier::new(k).fit(&train_ds)?;
     let preds = model.predict_batch(&test_ds.x);
     Ok(accuracy(&test_ds.y, &preds))
 }

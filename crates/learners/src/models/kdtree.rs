@@ -7,6 +7,13 @@
 //! (`nde_parallel::neighbor_order::KNearest`), so the tree ranks by the
 //! same `(distance, index)` order as every other k-NN path.
 //!
+//! That order compares distances with `f64::total_cmp`, under which a NaN
+//! with its sign bit set ranks before every number. A far subtree can
+//! therefore only be pruned when none of its distances can be NaN: rows
+//! with a NaN cell stay outside the tree and are scanned on every query,
+//! and a query whose bound is NaN or whose worst kept distance is NaN or
+//! `+∞` searches both sides of each split.
+//!
 //! Split axes are chosen by **widest spread**, not by cycling dimensions:
 //! encoded tables are full of constant and one-hot columns (see
 //! `preprocessing/encoder.rs`), and a cycling splitter that gives up as
@@ -45,6 +52,8 @@ enum Node {
 pub struct KdTree {
     data: Matrix,
     root: Node,
+    /// Rows with a NaN cell, offered to every query (see module docs).
+    nan_rows: Vec<usize>,
     leaf_size: usize,
 }
 
@@ -61,11 +70,13 @@ impl KdTree {
         let mut span = nde_trace::span("kdtree.build");
         span.field("n", data.nrows());
         span.field("dims", data.ncols());
-        let indices: Vec<usize> = (0..data.nrows()).collect();
+        let (indices, nan_rows): (Vec<usize>, Vec<usize>) =
+            (0..data.nrows()).partition(|&i| !data.row(i).iter().any(|v| v.is_nan()));
         let root = build_node(&data, indices, leaf_size);
         let tree = KdTree {
             data,
             root,
+            nan_rows,
             leaf_size,
         };
         span.field("depth", tree.depth());
@@ -130,6 +141,9 @@ impl KdTree {
             return Vec::new();
         }
         let mut best = KNearest::new(k.min(self.len()));
+        for &i in &self.nan_rows {
+            best.offer(sq_dist(self.data.row(i), query), i);
+        }
         search(&self.data, &self.root, query, &mut best);
         if nde_trace::enabled() {
             nde_trace::counter("kdtree.query").incr();
@@ -210,9 +224,12 @@ fn search(data: &Matrix, node: &Node, query: &[f64], best: &mut KNearest) {
                 (right, left)
             };
             search(data, near, query, best);
-            // Prune the far side when even its closest possible point is
-            // farther than the current worst candidate.
-            if diff * diff <= best.worst_distance() {
+            // Prune the far side only when even its closest possible point
+            // is provably farther than the current worst candidate: false
+            // for a NaN bound (NaN query coordinate) and for a NaN or `+∞`
+            // worst distance.
+            let provably_farther = diff * diff > best.worst_distance();
+            if !provably_farther {
                 search(data, far, query, best);
             }
         }
@@ -371,6 +388,20 @@ mod tests {
         let data = Matrix::from_rows(&[vec![5.0]]).unwrap();
         let tree = KdTree::build(data);
         assert_eq!(tree.nearest(&[0.0], 1), vec![0]);
+    }
+
+    #[test]
+    fn nan_query_coordinate_matches_brute_force() {
+        // A NaN coordinate makes every distance NaN, so the pruning bound
+        // must never fire: the tree used to search only the right side of
+        // each split and return a different neighbor set.
+        let rows: Vec<Vec<f64>> = (0..200)
+            .map(|i| vec![((i * 7) % 31) as f64, ((i * 13) % 17) as f64])
+            .collect();
+        let data = Matrix::from_rows(&rows).unwrap();
+        let tree = KdTree::build(data.clone());
+        let query = [f64::NAN, 3.0];
+        assert_eq!(tree.nearest(&query, 5), brute_force(&data, &query, 5));
     }
 
     #[test]

@@ -7,36 +7,21 @@
 //! (CPClean [Karlaš et al. 2020]).
 
 use crate::dataset::ClassDataset;
-use crate::matrix::{sq_dist, Matrix};
+use crate::models::kdtree::KdTree;
 use crate::traits::{ConstantModel, Learner, Model};
 use crate::Result;
-use nde_parallel::neighbor_order::k_nearest;
 
 /// k-NN learner configuration.
 #[derive(Debug, Clone)]
 pub struct KnnClassifier {
     /// Number of neighbors.
     pub k: usize,
-    /// Build a k-d tree index at fit time: identical results, sublinear
-    /// queries on low-dimensional data (§2.4's scalability concern).
-    pub use_kdtree: bool,
 }
 
 impl KnnClassifier {
-    /// Creates a brute-force k-NN learner with `k` neighbors.
+    /// Creates a k-NN learner with `k` neighbors.
     pub fn new(k: usize) -> Self {
-        KnnClassifier {
-            k: k.max(1),
-            use_kdtree: false,
-        }
-    }
-
-    /// Creates a k-d-tree-indexed k-NN learner with `k` neighbors.
-    pub fn indexed(k: usize) -> Self {
-        KnnClassifier {
-            k: k.max(1),
-            use_kdtree: true,
-        }
+        KnnClassifier { k: k.max(1) }
     }
 }
 
@@ -51,15 +36,11 @@ impl Learner for KnnClassifier {
         if data.is_empty() {
             return Ok(Box::new(ConstantModel::new(0, data.n_classes)));
         }
-        let index = self
-            .use_kdtree
-            .then(|| crate::models::kdtree::KdTree::build(data.x.clone()));
         Ok(Box::new(FittedKnn {
-            x: data.x.clone(),
+            index: KdTree::build(data.x.clone()),
             y: data.y.clone(),
             n_classes: data.n_classes,
             k: self.k,
-            index,
         }))
     }
 
@@ -68,29 +49,24 @@ impl Learner for KnnClassifier {
     }
 }
 
-/// A fitted k-NN model (stores the training set, optionally indexed).
+/// A fitted k-NN model: the training labels plus a k-d tree that owns the
+/// training rows (§2.4's scalability concern: sublinear queries on
+/// low-dimensional data, the same neighbors as a brute-force scan).
 #[derive(Debug, Clone)]
 pub struct FittedKnn {
-    x: Matrix,
+    index: KdTree,
     y: Vec<usize>,
     n_classes: usize,
     k: usize,
-    index: Option<crate::models::kdtree::KdTree>,
 }
 
 impl FittedKnn {
     /// Returns the training-set indices of the `k` nearest neighbors of
     /// `query`, ordered by increasing distance (ties broken by index so the
-    /// result is deterministic). The k-d-tree path returns exactly the same
-    /// neighbors as the brute-force scan.
+    /// result is deterministic) — exactly the neighbors of a brute-force
+    /// scan.
     pub fn neighbors(&self, query: &[f64]) -> Vec<usize> {
-        if let Some(tree) = &self.index {
-            return tree.nearest(query, self.k);
-        }
-        k_nearest(self.x.nrows(), self.k, |i| sq_dist(self.x.row(i), query))
-            .into_iter()
-            .map(|(_, i)| i)
-            .collect()
+        self.index.nearest(query, self.k)
     }
 
     /// The effective number of neighbors.
@@ -130,7 +106,6 @@ impl Model for FittedKnn {
     fn predict_batch(&self, x: &crate::Matrix) -> Vec<usize> {
         let mut span = nde_trace::span("learners.knn_predict_batch");
         span.field("rows", x.nrows());
-        span.field("indexed", if self.index.is_some() { 1i64 } else { 0i64 });
         nde_parallel::par_map_chunks(x.nrows(), 8, |range| {
             range.map(|i| self.predict(x.row(i))).collect::<Vec<_>>()
         })
@@ -153,7 +128,8 @@ pub fn argmax(values: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::matrix::{sq_dist, Matrix};
+    use nde_parallel::neighbor_order::k_nearest;
 
     fn blob_dataset() -> ClassDataset {
         // Two well-separated 1-D blobs.
@@ -198,39 +174,57 @@ mod tests {
         assert_eq!(model.predict(&[1.0]), 0);
     }
 
+    /// The fitted model itself, not the boxed trait object, so tests can
+    /// reach `neighbors`.
+    fn fit_concrete(data: &ClassDataset, k: usize) -> FittedKnn {
+        FittedKnn {
+            index: KdTree::build(data.x.clone()),
+            y: data.y.clone(),
+            n_classes: data.n_classes,
+            k,
+        }
+    }
+
+    /// Brute-force oracle: the `k` nearest rows by a full scan in the
+    /// workspace neighbor order.
+    fn oracle_neighbors(x: &Matrix, query: &[f64], k: usize) -> Vec<usize> {
+        k_nearest(x.nrows(), k, |i| sq_dist(x.row(i), query))
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect()
+    }
+
     #[test]
     fn neighbor_ties_break_by_index() {
         let x = Matrix::from_rows(&[vec![1.0], vec![1.0], vec![1.0]]).unwrap();
         let data = ClassDataset::new(x, vec![0, 1, 0], 2).unwrap();
-        let learner = KnnClassifier::new(2);
-        let boxed = learner.fit(&data).unwrap();
-        // Reach the concrete type to check neighbor ordering.
-        let fitted = KnnClassifier::new(2).fit(&data).unwrap();
-        assert_eq!(fitted.predict(&[1.0]), 0);
-        drop(boxed);
-        let model = FittedKnn {
-            x: data.x.clone(),
-            y: data.y.clone(),
-            n_classes: 2,
-            k: 2,
-            index: None,
-        };
-        assert_eq!(model.neighbors(&[1.0]), vec![0, 1]);
+        assert_eq!(KnnClassifier::new(2).fit(&data).unwrap().predict(&[1.0]), 0);
+        assert_eq!(fit_concrete(&data, 2).neighbors(&[1.0]), vec![0, 1]);
     }
 
     #[test]
     fn indexed_knn_matches_brute_force() {
-        let rows: Vec<Vec<f64>> = (0..200)
-            .map(|i| vec![((i * 7) % 31) as f64, ((i * 13) % 17) as f64])
-            .collect();
-        let y: Vec<usize> = (0..200).map(|i| i % 2).collect();
-        let data = ClassDataset::new(Matrix::from_rows(&rows).unwrap(), y, 2).unwrap();
-        let brute = KnnClassifier::new(5).fit(&data).unwrap();
-        let indexed = KnnClassifier::indexed(5).fit(&data).unwrap();
-        for q in 0..30 {
-            let query = [q as f64, (q * 3 % 15) as f64];
-            assert_eq!(brute.predict(&query), indexed.predict(&query));
-            assert_eq!(brute.predict_proba(&query), indexed.predict_proba(&query));
+        // n = 12 fits in one leaf; n = 200 makes a tree that prunes.
+        for n in [12usize, 200] {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| vec![((i * 7) % 31) as f64, ((i * 13) % 17) as f64])
+                .collect();
+            let y: Vec<usize> = (0..n).map(|i| i % 2).collect();
+            let data = ClassDataset::new(Matrix::from_rows(&rows).unwrap(), y, 2).unwrap();
+            for k in [1usize, 3, n, n + 5] {
+                let model = fit_concrete(&data, k);
+                for q in 0..30 {
+                    let query = [q as f64, (q * 3 % 15) as f64];
+                    let neigh = oracle_neighbors(&data.x, &query, k);
+                    let mut probs = vec![0.0; 2];
+                    for &i in &neigh {
+                        probs[data.y[i]] += 1.0 / neigh.len() as f64;
+                    }
+                    assert_eq!(model.neighbors(&query), neigh, "n={n} k={k} q={q}");
+                    assert_eq!(model.predict_proba(&query), probs, "n={n} k={k} q={q}");
+                    assert_eq!(model.predict(&query), argmax(&probs));
+                }
+            }
         }
     }
 
@@ -240,6 +234,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..30 {
+            // Spans single-leaf trees (n <= 16) and split ones.
             let n = rng.random_range(1..60usize);
             let dims = rng.random_range(1..4usize);
             let mut rows: Vec<Vec<f64>> = (0..n)
@@ -252,22 +247,13 @@ mod tests {
                 }
             }
             let query: Vec<f64> = (0..dims).map(|_| rng.random_range(0.0..4.0)).collect();
-            let x = Matrix::from_rows(&rows).unwrap();
+            let data = ClassDataset::new(Matrix::from_rows(&rows).unwrap(), vec![0; n], 1).unwrap();
             for k in [1usize, 3, n, n + 5] {
-                let model = FittedKnn {
-                    x: x.clone(),
-                    y: vec![0; n],
-                    n_classes: 1,
-                    k,
-                    index: None,
-                };
-                let fast = model.neighbors(&query);
-                let mut reference: Vec<(f64, usize)> =
-                    (0..n).map(|i| (sq_dist(&rows[i], &query), i)).collect();
-                reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                reference.truncate(k.min(n));
-                let slow: Vec<usize> = reference.into_iter().map(|(_, i)| i).collect();
-                assert_eq!(fast, slow, "trial={trial} n={n} k={k}");
+                assert_eq!(
+                    fit_concrete(&data, k).neighbors(&query),
+                    oracle_neighbors(&data.x, &query, k),
+                    "trial={trial} n={n} k={k}"
+                );
             }
         }
     }

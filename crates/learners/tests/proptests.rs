@@ -2,7 +2,7 @@
 //! total-ness on arbitrary data, and preprocessing invariants.
 
 use nde_learners::dataset::ClassDataset;
-use nde_learners::matrix::Matrix;
+use nde_learners::matrix::{sq_dist, Matrix};
 use nde_learners::metrics::{accuracy, f1_score, log_loss, macro_f1, precision, recall, roc_auc};
 use nde_learners::models::kdtree::KdTree;
 use nde_learners::models::knn::KnnClassifier;
@@ -11,6 +11,7 @@ use nde_learners::models::naive_bayes::GaussianNb;
 use nde_learners::models::tree::DecisionTree;
 use nde_learners::preprocessing::scaler::{MinMaxScaler, StandardScaler};
 use nde_learners::traits::Learner;
+use nde_parallel::neighbor_order::k_nearest;
 use proptest::prelude::*;
 
 fn arb_labels(n: usize) -> impl Strategy<Value = Vec<usize>> {
@@ -29,19 +30,56 @@ fn arb_dataset() -> impl Strategy<Value = ClassDataset> {
     })
 }
 
-/// Brute-force k-NN oracle with the tree's `(distance, index)` tie-break.
-fn brute_neighbors(rows: &[Vec<f64>], query: &[f64], k: usize) -> Vec<(f64, usize)> {
-    let mut all: Vec<(f64, usize)> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let d: f64 = r.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-            (d, i)
-        })
-        .collect();
-    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    all.truncate(k.min(rows.len()));
-    all
+/// One of the values a query coordinate or training cell may take beyond
+/// the finite grid: `None` keeps the finite value.
+fn arb_non_finite() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(f64::NAN)),
+        Just(Some(f64::INFINITY)),
+        Just(Some(f64::NEG_INFINITY)),
+    ]
+}
+
+/// A NaN of either sign: `f64::total_cmp`, and so the neighbor order,
+/// ranks a negative NaN distance first and a positive one last.
+fn arb_nan() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(f64::NAN), Just(-f64::NAN)]
+}
+
+/// Overwrites `cells[position % len]` with `value`, if there is one.
+fn plant(cells: &mut [f64], value: Option<f64>, position: usize) {
+    if let Some(v) = value {
+        let len = cells.len();
+        cells[position % len] = v;
+    }
+}
+
+/// `(distance bits, index)`: compares NaN distances bit for bit.
+fn bits(neighbors: &[(f64, usize)]) -> Vec<(u64, usize)> {
+    neighbors.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
+}
+
+/// Asserts that a k-d tree with `leaf_size` and a fitted k-NN model (its
+/// own default tree) both equal the brute-force `k_nearest` oracle bit
+/// for bit on every query: the same `(distance, index)` list, and the same
+/// vote.
+fn assert_matches_oracle(rows: &[Vec<f64>], leaf_size: usize, queries: &[Vec<f64>], k: usize) {
+    let x = Matrix::from_rows(rows).unwrap();
+    let y: Vec<usize> = (0..rows.len()).map(|i| i % 3).collect();
+    let tree = KdTree::with_leaf_size(x.clone(), leaf_size);
+    let model = KnnClassifier::new(k)
+        .fit(&ClassDataset::new(x.clone(), y.clone(), 3).unwrap())
+        .unwrap();
+    for q in queries {
+        let oracle = k_nearest(x.nrows(), k, |i| sq_dist(x.row(i), q));
+        prop_assert_eq!(bits(&tree.nearest_with_distances(q, k)), bits(&oracle));
+        let mut votes = vec![0.0; 3];
+        for &(_, i) in &oracle {
+            votes[y[i]] += 1.0 / oracle.len() as f64;
+        }
+        prop_assert_eq!(model.predict_proba(q), votes);
+    }
 }
 
 /// A one-hot-plus-constant feature row — the exact layout the table
@@ -58,41 +96,54 @@ fn encoded_row(category: usize, informative: i32) -> Vec<f64> {
 proptest! {
     /// k-d tree equals brute force on one-hot + constant-column layouts
     /// with duplicate rows (informative values snapped to a small grid, so
-    /// ties and duplicates are common).
+    /// ties and duplicates are common). Queries may carry a NaN or ±inf
+    /// coordinate and one training cell may be a NaN of either sign.
     #[test]
     fn kdtree_matches_brute_force_on_encoded_layouts(
         cats in prop::collection::vec(0usize..4, 2..50),
         informative in prop::collection::vec(0i32..6, 2..50),
-        queries in prop::collection::vec((0usize..4, 0i32..6), 1..8),
+        queries in prop::collection::vec((0usize..4, 0i32..6, arb_non_finite(), 0usize..6), 1..8),
+        nan_cell in prop::option::of((arb_nan(), 0usize..50, 0usize..6)),
         k in 1usize..8,
     ) {
         let n = cats.len().min(informative.len());
-        let rows: Vec<Vec<f64>> = (0..n).map(|i| encoded_row(cats[i], informative[i])).collect();
-        let tree = KdTree::with_leaf_size(Matrix::from_rows(&rows).unwrap(), 4);
-        for &(qc, qv) in &queries {
-            let q = encoded_row(qc, qv);
-            prop_assert_eq!(
-                tree.nearest_with_distances(&q, k),
-                brute_neighbors(&rows, &q, k)
-            );
+        let mut rows: Vec<Vec<f64>> = (0..n).map(|i| encoded_row(cats[i], informative[i])).collect();
+        if let Some((nan, r, c)) = nan_cell {
+            plant(&mut rows[r % n], Some(nan), c);
         }
+        let queries: Vec<Vec<f64>> = queries
+            .iter()
+            .map(|&(qc, qv, special, at)| {
+                let mut q = encoded_row(qc, qv);
+                plant(&mut q, special, at);
+                q
+            })
+            .collect();
+        assert_matches_oracle(&rows, 4, &queries, k);
     }
 
     /// k-d tree equals brute force in high dimension, where the pruning
-    /// bound rarely fires and duplicate coordinates are everywhere.
+    /// bound rarely fires and duplicate coordinates are everywhere, with
+    /// the same non-finite query coordinates and training cell.
     #[test]
     fn kdtree_matches_brute_force_in_high_dimension(
         rows in prop::collection::vec(prop::collection::vec(0i32..3, 12..=12), 1..40),
         query in prop::collection::vec(0i32..3, 12..=12),
+        special in (arb_non_finite(), 0usize..12),
+        nan_cell in prop::option::of((arb_nan(), 0usize..40, 0usize..12)),
         k in 1usize..10,
     ) {
-        let rows: Vec<Vec<f64>> = rows
+        let mut rows: Vec<Vec<f64>> = rows
             .iter()
             .map(|r| r.iter().map(|&v| f64::from(v)).collect())
             .collect();
-        let q: Vec<f64> = query.iter().map(|&v| f64::from(v)).collect();
-        let tree = KdTree::with_leaf_size(Matrix::from_rows(&rows).unwrap(), 2);
-        prop_assert_eq!(tree.nearest_with_distances(&q, k), brute_neighbors(&rows, &q, k));
+        if let Some((nan, r, c)) = nan_cell {
+            let n = rows.len();
+            plant(&mut rows[r % n], Some(nan), c);
+        }
+        let mut q: Vec<f64> = query.iter().map(|&v| f64::from(v)).collect();
+        plant(&mut q, special.0, special.1);
+        assert_matches_oracle(&rows, 2, &[q], k);
     }
 
     /// The widest-spread-axis fix actually splits one-hot data: whenever

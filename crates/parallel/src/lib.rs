@@ -20,7 +20,7 @@
 //! 3. **[`neighbor_order`]**: the one `(distance, index)` order every
 //!    exact k-NN path ranks by, with [`neighbor_order::rank_all`] for full
 //!    orderings and the bounded [`neighbor_order::KNearest`] selector for
-//!    k-prefixes (k-d-tree search, brute-force k-NN).
+//!    k-prefixes (k-d-tree search, the brute-force oracle).
 //!
 //! Worker count comes from [`num_threads`]: the `NDE_THREADS` environment
 //! variable when set, else `std::thread::available_parallelism()`.

@@ -1,9 +1,10 @@
 //! The workspace's one neighbor order, and the two ways to rank under it.
 //!
 //! Every exact k-NN path — KNN-Shapley, the [`NeighborCache`] and
-//! [`TopKCache`] lists, k-d-tree search, brute-force k-NN prediction and
-//! retrieval — ranks candidates by ascending `(distance, index)`:
-//! distances compare with [`f64::total_cmp`], ties go to the lower index.
+//! [`TopKCache`] lists, k-d-tree search (every fitted k-NN model), the
+//! brute-force oracle and retrieval — ranks candidates by ascending
+//! `(distance, index)`: distances compare with [`f64::total_cmp`], ties
+//! go to the lower index.
 //! Because they all rank through this module, the indexed, cached and
 //! direct paths agree bit-for-bit.
 //!

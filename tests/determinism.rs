@@ -18,7 +18,10 @@ use nde_importance::knn_shapley::{build_topk_cache, knn_shapley};
 use nde_importance::semivalue::{banzhaf_msr, tmc_shapley, McConfig};
 use nde_importance::utility::{ModelUtility, UtilityMetric};
 use nde_learners::dataset::ClassDataset;
+use nde_learners::matrix::sq_dist;
+use nde_learners::models::knn::argmax;
 use nde_learners::{KnnClassifier, Learner};
+use nde_parallel::neighbor_order::k_nearest;
 use nde_uncertain::cpclean::{certain_fraction, IncompleteDataset};
 use nde_uncertain::incomplete::IncompleteMatrix;
 use nde_uncertain::interval::Interval;
@@ -191,7 +194,7 @@ fn env_driven_entry_points_are_thread_count_invariant() {
     // Indexed k-NN hot paths: batch prediction and the kd-tree-fed top-k
     // cache both fan out over NDE_THREADS workers.
     let (train, valid) = encoded_splits();
-    let indexed = KnnClassifier::indexed(5).fit(&train).unwrap();
+    let indexed = KnnClassifier::new(5).fit(&train).unwrap();
 
     let run = || {
         let fraction = certain_fraction(&data, &queries, 3);
@@ -215,10 +218,16 @@ fn env_driven_entry_points_are_thread_count_invariant() {
             "NDE_THREADS={threads} changed results"
         )
     });
-    let brute = KnnClassifier::new(5).fit(&train).unwrap();
-    assert_eq!(
-        reference.2,
-        brute.predict_batch(&valid.x),
-        "indexed k-NN diverged from brute force"
-    );
+    // Brute-force oracle: a full scan, then a uniform vote.
+    let brute: Vec<usize> = (0..valid.len())
+        .map(|r| {
+            let neighbors = k_nearest(train.len(), 5, |i| sq_dist(train.x.row(i), valid.x.row(r)));
+            let mut votes = vec![0.0; train.n_classes];
+            for &(_, i) in &neighbors {
+                votes[train.y[i]] += 1.0 / neighbors.len() as f64;
+            }
+            argmax(&votes)
+        })
+        .collect();
+    assert_eq!(reference.2, brute, "indexed k-NN diverged from brute force");
 }
