@@ -43,7 +43,11 @@ fn bench_knn_shapley(c: &mut Criterion) {
 }
 
 fn bench_knn_shapley_cache(c: &mut Criterion) {
-    use nde_importance::knn_shapley::{build_neighbor_cache, knn_shapley_cached};
+    use nde_importance::knn_shapley::{build_neighbor_cache, build_topk_cache, knn_shapley_cached};
+    use nde_learners::matrix::sq_dist;
+    use nde_learners::metrics::accuracy;
+    use nde_learners::models::knn::{argmax, vote};
+    use nde_parallel::neighbor_order::k_nearest;
     let mut group = c.benchmark_group("knn_shapley_cache");
     group.sample_size(10);
     let train = synth_dataset(800, 8);
@@ -66,6 +70,39 @@ fn bench_knn_shapley_cache(c: &mut Criterion) {
                 nde_learners::matrix::sq_dist(train.x.row(7), valid.x.row(v))
             });
             knn_shapley_cached(&cache, &train.y, &valid.y, 5)
+        })
+    });
+    // Repair + test-side top-k repair + re-evaluation — the cleaning
+    // loop's measure side, which refits no model. The repaired row
+    // alternates between two positions, so lists both re-query (it moved
+    // away) and re-position (it came back).
+    group.bench_function("warm_repair_reevaluate_800", |b| {
+        let mut train = train.clone();
+        let moved: Vec<f64> = train.x.row(7).iter().map(|v| v + 0.5).collect();
+        let mut positions = [train.x.row(7).to_vec(), moved];
+        let mut topk = build_topk_cache(&train, &valid, 5);
+        let depth = topk.k();
+        b.iter(|| {
+            positions.swap(0, 1);
+            train.x.row_mut(7).copy_from_slice(&positions[0]);
+            let x = &train.x;
+            topk.update_row(
+                7,
+                |v| sq_dist(x.row(7), valid.x.row(v)),
+                |v| {
+                    k_nearest(x.nrows(), depth, |t| sq_dist(x.row(t), valid.x.row(v)))
+                        .into_iter()
+                        .map(|(d, t)| (d, t as u32))
+                        .collect()
+                },
+            );
+            let preds: Vec<usize> = (0..topk.n_valid())
+                .map(|v| {
+                    let nearest = topk.neighbors(v)[..5].iter().map(|&(_, t)| t as usize);
+                    argmax(&vote(nearest, &train.y, train.n_classes))
+                })
+                .collect();
+            accuracy(&valid.y, &preds)
         })
     });
     group.bench_function("cache_build_800", |b| {

@@ -18,7 +18,7 @@
 
 use nde_learners::dataset::ClassDataset;
 use nde_learners::matrix::{sq_dist, Matrix};
-use nde_learners::models::knn::argmax;
+use nde_learners::models::knn::{argmax, vote};
 use nde_parallel::neighbor_order::k_nearest;
 use std::fmt::Display;
 use std::time::Instant;
@@ -99,20 +99,21 @@ pub fn iteration_boundary() {
 }
 
 /// Brute-force k-NN predictions for the rows of `x`: each row's `k`
-/// nearest training rows by a full [`k_nearest`] scan, then a uniform
-/// vote. This is the oracle the k-d-tree-backed `KnnClassifier` must match
-/// bit for bit, and the baseline its query speedup is measured against, so
-/// it fans out over `NDE_THREADS` like `predict_batch` does.
+/// nearest training rows by a full [`k_nearest`] scan, then the model's
+/// uniform [`vote`]. This is the oracle the k-d-tree-backed
+/// `KnnClassifier` must match bit for bit, and the baseline its query
+/// speedup is measured against, so it fans out over `NDE_THREADS` like
+/// `predict_batch` does.
 pub fn brute_knn_predict(train: &ClassDataset, x: &Matrix, k: usize) -> Vec<usize> {
     nde_parallel::par_map_chunks(x.nrows(), 8, |range| {
         range
             .map(|r| {
                 let neighbors = k_nearest(train.len(), k, |i| sq_dist(train.x.row(i), x.row(r)));
-                let mut votes = vec![0.0; train.n_classes];
-                for &(_, i) in &neighbors {
-                    votes[train.y[i]] += 1.0 / neighbors.len() as f64;
-                }
-                argmax(&votes)
+                argmax(&vote(
+                    neighbors.into_iter().map(|(_, i)| i),
+                    &train.y,
+                    train.n_classes,
+                ))
             })
             .collect::<Vec<_>>()
     })

@@ -6,13 +6,18 @@ use crate::scenario::{encode_splits, standard_encoder};
 use nde_importance::aum::{aum_scores, AumConfig};
 use nde_importance::confident::confident_learning;
 use nde_importance::influence::{influence_scores, InfluenceConfig};
-use nde_importance::knn_shapley::{build_neighbor_cache, knn_shapley, knn_shapley_cached};
+use nde_importance::knn_shapley::{
+    build_neighbor_cache, build_topk_cache, knn_shapley, knn_shapley_cached,
+};
 use nde_importance::loo::leave_one_out;
 use nde_importance::rank::rank_ascending;
 use nde_importance::semivalue::{banzhaf_msr, beta_shapley, tmc_shapley, McConfig};
 use nde_importance::utility::{ModelUtility, UtilityMetric};
 use nde_learners::dataset::ClassDataset;
+use nde_learners::models::knn;
 use nde_learners::{KnnClassifier, Result};
+use nde_parallel::neighbor_order::k_nearest;
+use nde_parallel::TopKCache;
 use nde_tabular::Table;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -192,12 +197,20 @@ pub fn iterative_cleaning(
 
 /// Warm-cache iterative cleaning: the KNN-Shapley path of
 /// [`iterative_cleaning`], re-ranked **every round** from a shared
-/// [`nde_parallel::NeighborCache`] instead of scored once up front.
+/// [`nde_parallel::NeighborCache`] instead of scored once up front, and
+/// re-evaluated from a test-side [`nde_parallel::TopKCache`] instead of a
+/// refitted model.
 ///
 /// The feature encoder is fitted once on the dirty table and then held
-/// fixed, so a repaired row only requires re-encoding that row and an
-/// incremental [`nde_parallel::NeighborCache::update_row`] — the per-round
-/// re-score touches no distances at all. Evaluation uses the same fixed
+/// fixed, so a repaired row only requires re-encoding that row and two
+/// incremental repairs: [`nde_parallel::NeighborCache::update_row`] keeps
+/// the re-score free of distance work, and
+/// [`nde_parallel::TopKCache::update_row`] keeps each test row's nearest
+/// training rows current (re-querying by brute force only the lists the
+/// row moved out of). The one k-d tree of a session builds the test-side
+/// cache; each round's accuracy is the uniform [`knn::vote`] over every
+/// test row's `k` nearest — bit-identical to refitting a
+/// [`KnnClassifier`] on the repaired rows. Evaluation uses the same fixed
 /// encoder (this is the one semantic difference from
 /// [`iterative_cleaning`], which refits the encoder on every evaluation).
 pub fn iterative_cleaning_cached(
@@ -211,7 +224,6 @@ pub fn iterative_cleaning_cached(
 ) -> Result<Vec<CleaningStep>> {
     use nde_learners::matrix::sq_dist;
     use nde_learners::metrics::accuracy;
-    use nde_learners::Learner;
 
     let mut span = nde_trace::span("cleaning.iterative_cached");
     span.field("batch_size", batch_size);
@@ -221,16 +233,27 @@ pub fn iterative_cleaning_cached(
     let valid_ds = encoder.transform(valid)?;
     let test_ds = encoder.transform(test)?;
     let mut cache = build_neighbor_cache(&train_ds, &valid_ds);
+    let mut test_cache = build_topk_cache(&train_ds, &test_ds, k);
 
-    let evaluate = |train_ds: &ClassDataset| -> Result<f64> {
-        let model = KnnClassifier::new(k).fit(train_ds)?;
-        Ok(accuracy(&test_ds.y, &model.predict_batch(&test_ds.x)))
+    // The first `min(k, n)` entries of each test row's list are exactly
+    // the neighbors a `KnnClassifier::new(k)` fitted on `train_ds` finds.
+    let n_votes = k.max(1).min(train_ds.len());
+    let evaluate = |train_ds: &ClassDataset, test_cache: &TopKCache| -> f64 {
+        let preds: Vec<usize> = (0..test_cache.n_valid())
+            .map(|v| {
+                let nearest = test_cache.neighbors(v)[..n_votes]
+                    .iter()
+                    .map(|&(_, t)| t as usize);
+                knn::argmax(&knn::vote(nearest, &train_ds.y, train_ds.n_classes))
+            })
+            .collect();
+        accuracy(&test_ds.y, &preds)
     };
 
     let mut working = dirty.clone();
     let mut steps = vec![CleaningStep {
         cleaned: 0,
-        accuracy: evaluate(&train_ds)?,
+        accuracy: evaluate(&train_ds, &test_cache),
     }];
     let mut already_cleaned = vec![false; train_ds.len()];
     let mut cleaned = 0usize;
@@ -264,8 +287,21 @@ pub fn iterative_cleaning_cached(
             train_ds.y[row] = repaired.y[0];
             let train_x = &train_ds.x;
             cache.update_row(row, |v| sq_dist(train_x.row(row), valid_ds.x.row(v)));
+            let depth = test_cache.k();
+            test_cache.update_row(
+                row,
+                |v| sq_dist(train_x.row(row), test_ds.x.row(v)),
+                |v| {
+                    k_nearest(train_x.nrows(), depth, |t| {
+                        sq_dist(train_x.row(t), test_ds.x.row(v))
+                    })
+                    .into_iter()
+                    .map(|(d, t)| (d, t as u32))
+                    .collect()
+                },
+            );
         }
-        let accuracy = evaluate(&train_ds)?;
+        let accuracy = evaluate(&train_ds, &test_cache);
         round.field("cleaned", cleaned);
         round.field("accuracy", accuracy);
         steps.push(CleaningStep { cleaned, accuracy });
@@ -399,6 +435,65 @@ mod tests {
             "cached {} vs replay {expected_acc}",
             cached.last().unwrap().accuracy
         );
+    }
+
+    /// The warm loop must pick and score exactly like a loop that re-ranks
+    /// with uncached KNN-Shapley, re-encodes the whole repaired table and
+    /// refits the model every round — also when repairs move rows in
+    /// feature space. The ±2σ rating outliers sit inside the data, so
+    /// repairing one moves it away from some test rows whose lists held
+    /// it, and those lists must be re-queried.
+    #[test]
+    fn cached_cleaning_matches_refit_every_round() {
+        use nde_datagen::errors::inject_outliers;
+        use nde_learners::metrics::accuracy;
+        use nde_learners::Learner;
+        let (batch, rounds, k) = (7, 10, 5);
+        let s = scenario();
+        let (flipped, _) = flip_labels(&s.train, "sentiment", 0.25, 7).unwrap();
+        let (dirty, _) = inject_outliers(&flipped, "employer_rating", 0.3, 2.0, 3).unwrap();
+        let cached = iterative_cleaning_cached(
+            &dirty,
+            &s.train,
+            &s.valid,
+            &s.test,
+            batch,
+            batch * rounds,
+            k,
+        )
+        .unwrap();
+
+        let encoder = standard_encoder().fit(&dirty).unwrap();
+        let valid_ds = encoder.transform(&s.valid).unwrap();
+        let test_ds = encoder.transform(&s.test).unwrap();
+        let evaluate = |train_ds: &ClassDataset| {
+            let model = KnnClassifier::new(k).fit(train_ds).unwrap();
+            accuracy(&test_ds.y, &model.predict_batch(&test_ds.x))
+        };
+        let mut working = dirty.clone();
+        let mut train_ds = encoder.transform(&working).unwrap();
+        let mut reference = vec![CleaningStep {
+            cleaned: 0,
+            accuracy: evaluate(&train_ds),
+        }];
+        let mut already_cleaned = vec![false; train_ds.len()];
+        for round in 1..=rounds {
+            let picks: Vec<usize> = rank_ascending(&knn_shapley(&train_ds, &valid_ds, k))
+                .into_iter()
+                .filter(|&row| !already_cleaned[row])
+                .take(batch)
+                .collect();
+            for row in picks {
+                repair_row(&mut working, &s.train, row).unwrap();
+                already_cleaned[row] = true;
+            }
+            train_ds = encoder.transform(&working).unwrap();
+            reference.push(CleaningStep {
+                cleaned: round * batch,
+                accuracy: evaluate(&train_ds),
+            });
+        }
+        assert_eq!(cached, reference);
     }
 
     #[test]

@@ -86,17 +86,7 @@ impl Model for FittedKnn {
     }
 
     fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let neigh = self.neighbors(x);
-        let mut probs = vec![0.0; self.n_classes];
-        if neigh.is_empty() {
-            probs[0] = 1.0;
-            return probs;
-        }
-        let w = 1.0 / neigh.len() as f64;
-        for i in neigh {
-            probs[self.y[i]] += w;
-        }
-        probs
+        vote(self.neighbors(x).into_iter(), &self.y, self.n_classes)
     }
 
     /// Fans the per-row queries out over threads. Chunk boundaries are
@@ -113,6 +103,29 @@ impl Model for FittedKnn {
         .flatten()
         .collect()
     }
+}
+
+/// The uniform k-NN vote: class probabilities in which each of the
+/// `neighbors` (training-row indices, in neighbor order) adds `1 / len` to
+/// its label's class; no neighbors at all vote for class 0. Fitted models
+/// and cached neighbor lists both predict through it, so they agree bit
+/// for bit.
+pub fn vote(
+    neighbors: impl ExactSizeIterator<Item = usize>,
+    labels: &[usize],
+    n_classes: usize,
+) -> Vec<f64> {
+    let mut probs = vec![0.0; n_classes];
+    let n = neighbors.len();
+    if n == 0 {
+        probs[0] = 1.0;
+        return probs;
+    }
+    let w = 1.0 / n as f64;
+    for i in neighbors {
+        probs[labels[i]] += w;
+    }
+    probs
 }
 
 /// Index of the maximum value (first on ties).

@@ -16,7 +16,8 @@
 //!    full O(m·n·(d + log n)) rebuild to O(m·n) list surgery. Its truncated
 //!    sibling [`TopKCache`] keeps only the `k` nearest per validation
 //!    point, letting index-backed builds (k-d tree queries) skip the full
-//!    distance matrix for the paths that never read past rank `k`.
+//!    distance matrix for the paths that never read past rank `k`, and
+//!    repairs a row in place unless the row moved out of a list.
 //! 3. **[`neighbor_order`]**: the one `(distance, index)` order every
 //!    exact k-NN path ranks by, with [`neighbor_order::rank_all`] for full
 //!    orderings and the bounded [`neighbor_order::KNearest`] selector for
@@ -35,8 +36,10 @@
 //! [`NeighborCache`] counts cold builds (`neighbor_cache.miss`) and
 //! incremental repairs (`neighbor_cache.repair`); [`TopKCache`] counts
 //! truncated builds (`neighbor_cache.topk_build`) under the
-//! `neighbor_cache.build_topk` span. All instrumentation is
-//! observational: results are bit-identical with tracing on or off.
+//! `neighbor_cache.build_topk` span, repairs (`neighbor_cache.topk_repair`)
+//! and the lists a repair had to re-query (`neighbor_cache.topk_requery`).
+//! All instrumentation is observational: results are bit-identical with
+//! tracing on or off.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -196,6 +196,66 @@ impl TopKCache {
     pub fn neighbors(&self, v: usize) -> &[(f64, u32)] {
         &self.lists[v]
     }
+
+    /// Re-ranks a single repaired training row — the truncated sibling of
+    /// [`NeighborCache::update_row`]. `new_dist(v)` returns the repaired
+    /// row's distance to validation point `v`; `requery(v)` must return
+    /// what [`TopKCache::build`]'s `query(v)` would return now. Each list
+    /// compares the repaired entry under [`neighbor_order::cmp`]:
+    ///
+    /// - row not in the list: the entry enters only if it beats the
+    ///   list's worst, which it displaces (exact: no other entry moved);
+    /// - row in the list, entry no worse than before: it is re-positioned;
+    /// - row in the list, entry farther than before: a row outside the
+    ///   list may now belong in it, so the list becomes `requery(v)`.
+    ///
+    /// Lists are repaired serially (each is a `k`-entry scan). The result
+    /// equals a fresh [`TopKCache::build`] with the new distances.
+    pub fn update_row<F, Q>(&mut self, row: usize, new_dist: F, requery: Q)
+    where
+        F: Fn(usize) -> f64,
+        Q: Fn(usize) -> Vec<(f64, u32)>,
+    {
+        assert!(
+            row < self.n_train,
+            "row {row} out of range (n_train = {})",
+            self.n_train
+        );
+        nde_trace::counter("neighbor_cache.topk_repair").incr();
+        let expected = self.k.min(self.n_train);
+        let row32 = row as u32;
+        for (v, list) in self.lists.iter_mut().enumerate() {
+            let entry = (new_dist(v), row32);
+            let insert = |list: &mut Vec<(f64, u32)>| {
+                let at = list.partition_point(|e| neighbor_order::cmp(e, &entry) == Ordering::Less);
+                list.insert(at, entry);
+            };
+            match list.iter().position(|&(_, t)| t == row32) {
+                None => {
+                    if list
+                        .last()
+                        .is_some_and(|worst| neighbor_order::cmp(&entry, worst) == Ordering::Less)
+                    {
+                        list.pop();
+                        insert(list);
+                    }
+                }
+                Some(old) if neighbor_order::cmp(&entry, &list[old]).is_le() => {
+                    list.remove(old);
+                    insert(list);
+                }
+                Some(_) => {
+                    nde_trace::counter("neighbor_cache.topk_requery").incr();
+                    *list = requery(v);
+                    assert_eq!(
+                        list.len(),
+                        expected,
+                        "requery({v}) must return min(k, n_train) neighbors"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -286,6 +346,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn topk_update_requeries_only_lists_the_row_left() {
+        // Row 3 is the second-nearest of point 0 and the farthest of
+        // point 1; moving it to distance 20 pushes it out of point 0's
+        // top 2 only.
+        let mut dist = vec![
+            vec![1.0, 9.0],
+            vec![4.0, 8.0],
+            vec![5.0, 7.0],
+            vec![2.0, 10.0],
+        ];
+        let query = |dist: &[Vec<f64>], v: usize| -> Vec<(f64, u32)> {
+            crate::neighbor_order::k_nearest(dist.len(), 2, |t| dist[t][v])
+                .into_iter()
+                .map(|(d, t)| (d, t as u32))
+                .collect()
+        };
+        let mut cache = TopKCache::build(4, 2, 2, |v| query(&dist, v));
+        dist[3] = vec![20.0, 20.0];
+        let requeried = std::cell::RefCell::new(Vec::new());
+        cache.update_row(
+            3,
+            |v| dist[3][v],
+            |v| {
+                requeried.borrow_mut().push(v);
+                query(&dist, v)
+            },
+        );
+        assert_eq!(requeried.into_inner(), vec![0]);
+        assert_eq!(cache, TopKCache::build(4, 2, 2, |v| query(&dist, v)));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests for the deterministic parallel layer: the
-//! incremental [`NeighborCache`] repair path must be indistinguishable from
-//! rebuilding the cache from scratch, for any data and repair sequence, and
-//! the neighbor-order rankings must equal an independent full sort.
+//! incremental [`NeighborCache`] and [`TopKCache`] repair paths must be
+//! indistinguishable from rebuilding the cache from scratch, for any data
+//! and repair sequence, and the neighbor-order rankings must equal an
+//! independent full sort.
 
 use nde_parallel::neighbor_order::{k_nearest, rank_all, KNearest};
-use nde_parallel::NeighborCache;
+use nde_parallel::{NeighborCache, TopKCache};
 use proptest::prelude::*;
 
 /// The neighbor order written out independently of `neighbor_order`: a
@@ -21,6 +22,46 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 
 fn arb_points(n: usize, d: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-50.0f64..50.0, d..=d), n..=n)
+}
+
+/// A distance that often ties (four small integers) and is NaN of either
+/// sign in a third of draws (the finite kinds are listed twice); the
+/// neighbor order ranks `-NaN` first and `NaN` last.
+fn arb_distance() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0usize..4).prop_map(|d| d as f64),
+        0.0f64..50.0,
+        (0usize..4).prop_map(|d| d as f64),
+        0.0f64..50.0,
+        Just(f64::NAN),
+        Just(-f64::NAN),
+    ]
+}
+
+/// A [`TopKCache`] fed by the brute-force `k_nearest` oracle over a
+/// `dists[train][valid]` matrix.
+fn topk_from_oracle(dists: &[Vec<f64>], n_valid: usize, k: usize) -> TopKCache {
+    TopKCache::build(dists.len(), n_valid, k, |v| oracle_list(dists, v, k))
+}
+
+fn oracle_list(dists: &[Vec<f64>], v: usize, k: usize) -> Vec<(f64, u32)> {
+    k_nearest(dists.len(), k, |t| dists[t][v])
+        .into_iter()
+        .map(|(d, t)| (d, t as u32))
+        .collect()
+}
+
+/// Every list with its distances as bits, so NaN entries compare equal.
+fn topk_bits(cache: &TopKCache) -> Vec<Vec<(u64, u32)>> {
+    (0..cache.n_valid())
+        .map(|v| {
+            cache
+                .neighbors(v)
+                .iter()
+                .map(|&(d, t)| (d.to_bits(), t))
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -56,6 +97,62 @@ proptest! {
             sq_dist(&train[t], &valid[v])
         });
         prop_assert_eq!(&cache, &rebuilt);
+    }
+
+    /// A sequence of single-row repairs applied with
+    /// `TopKCache::update_row` yields, after every step, exactly the cache
+    /// a fresh oracle-fed `build` produces — for k = 1, 3, n and n + 5.
+    /// Each repair redraws some of the row's distances and keeps the rest,
+    /// so rows move nearer, move farther, stay put, and enter or leave
+    /// lists; ties and NaNs of either sign are common.
+    #[test]
+    fn topk_repair_matches_a_fresh_build(
+        (dists, n_valid, repairs) in (1usize..14, 1usize..6).prop_flat_map(
+            |(n_train, n_valid)| {
+                (
+                    prop::collection::vec(
+                        prop::collection::vec(arb_distance(), n_valid..=n_valid),
+                        n_train..=n_train,
+                    ),
+                    Just(n_valid),
+                    prop::collection::vec(
+                        (
+                            0..n_train,
+                            prop::collection::vec(
+                                prop::option::of(arb_distance()),
+                                n_valid..=n_valid,
+                            ),
+                        ),
+                        1..8,
+                    ),
+                )
+            },
+        )
+    ) {
+        let mut dists = dists;
+        let n = dists.len();
+        let depths = [1, 3, n, n + 5];
+        let mut caches: Vec<TopKCache> = depths
+            .iter()
+            .map(|&k| topk_from_oracle(&dists, n_valid, k))
+            .collect();
+        for (row, redraw) in repairs {
+            for (v, new) in redraw.into_iter().enumerate() {
+                if let Some(d) = new {
+                    dists[row][v] = d;
+                }
+            }
+            for (cache, &k) in caches.iter_mut().zip(&depths) {
+                cache.update_row(row, |v| dists[row][v], |v| oracle_list(&dists, v, k));
+                let fresh = topk_from_oracle(&dists, n_valid, k);
+                prop_assert_eq!(topk_bits(cache), topk_bits(&fresh), "k = {}, row {}", k, row);
+                if k >= n {
+                    for v in 0..n_valid {
+                        prop_assert_eq!(cache.neighbors(v).len(), n);
+                    }
+                }
+            }
+        }
     }
 
     /// A chunked float sum folded in chunk order is bit-identical to the

@@ -10,7 +10,7 @@
 //! this file run concurrently.
 
 use nde_core::challenge::{Challenge, ChallengeConfig};
-use nde_core::cleaning::Strategy;
+use nde_core::cleaning::{iterative_cleaning_cached, Strategy};
 use nde_core::scenario::encode_splits;
 use nde_datagen::errors::{flip_labels, inject_missing, Mechanism};
 use nde_datagen::{HiringConfig, HiringScenario};
@@ -152,8 +152,8 @@ fn quality_profile_is_thread_count_invariant() {
 }
 
 /// The remaining env-driven entry points: [`certain_fraction`], the
-/// challenge leaderboard, indexed batch prediction and the kd-tree-fed
-/// top-k cache.
+/// challenge leaderboard, indexed batch prediction, the kd-tree-fed
+/// top-k cache and a warm cleaning session.
 #[test]
 fn env_driven_entry_points_are_thread_count_invariant() {
     // CPClean certain fraction over MNAR-corrupted ratings.
@@ -196,6 +196,16 @@ fn env_driven_entry_points_are_thread_count_invariant() {
     let (train, valid) = encoded_splits();
     let indexed = KnnClassifier::new(5).fit(&train).unwrap();
 
+    // A warm cleaning session: parallel NeighborCache build and repairs,
+    // the kd-tree-fed test-side top-k cache and its serial repairs.
+    let session = HiringScenario::generate(&HiringConfig {
+        n_train: 100,
+        n_valid: 40,
+        n_test: 40,
+        ..Default::default()
+    });
+    let (dirty, _) = flip_labels(&session.train, "sentiment", 0.2, 5).unwrap();
+
     let run = || {
         let fraction = certain_fraction(&data, &queries, 3);
         let board = challenge.play_all(&strategies).unwrap();
@@ -209,7 +219,20 @@ fn env_driven_entry_points_are_thread_count_invariant() {
         let topk_flat: Vec<(u64, u32)> = (0..topk.n_valid())
             .flat_map(|v| topk.neighbors(v).iter().map(|&(d, t)| (d.to_bits(), t)))
             .collect();
-        (fraction.to_bits(), standings, preds, topk_flat)
+        let cleaning: Vec<(usize, u64)> = iterative_cleaning_cached(
+            &dirty,
+            &session.train,
+            &session.valid,
+            &session.test,
+            4,
+            20,
+            5,
+        )
+        .unwrap()
+        .iter()
+        .map(|s| (s.cleaned, s.accuracy.to_bits()))
+        .collect();
+        (fraction.to_bits(), standings, preds, topk_flat, cleaning)
     };
 
     let reference = sweep_threads(run, |threads, reference, candidate| {
