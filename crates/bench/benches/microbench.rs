@@ -47,7 +47,6 @@ fn bench_knn_shapley_cache(c: &mut Criterion) {
     use nde_learners::matrix::sq_dist;
     use nde_learners::metrics::accuracy;
     use nde_learners::models::knn::{argmax, vote};
-    use nde_parallel::neighbor_order::k_nearest;
     let mut group = c.benchmark_group("knn_shapley_cache");
     group.sample_size(10);
     let train = synth_dataset(800, 8);
@@ -66,9 +65,7 @@ fn bench_knn_shapley_cache(c: &mut Criterion) {
     group.bench_function("warm_repair_rescore_800", |b| {
         let mut cache = cache.clone();
         b.iter(|| {
-            cache.update_row(7, |v| {
-                nde_learners::matrix::sq_dist(train.x.row(7), valid.x.row(v))
-            });
+            cache.update_row(7, |t, v| sq_dist(train.x.row(t), valid.x.row(v)));
             knn_shapley_cached(&cache, &train.y, &valid.y, 5)
         })
     });
@@ -81,21 +78,11 @@ fn bench_knn_shapley_cache(c: &mut Criterion) {
         let moved: Vec<f64> = train.x.row(7).iter().map(|v| v + 0.5).collect();
         let mut positions = [train.x.row(7).to_vec(), moved];
         let mut topk = build_topk_cache(&train, &valid, 5);
-        let depth = topk.k();
         b.iter(|| {
             positions.swap(0, 1);
             train.x.row_mut(7).copy_from_slice(&positions[0]);
             let x = &train.x;
-            topk.update_row(
-                7,
-                |v| sq_dist(x.row(7), valid.x.row(v)),
-                |v| {
-                    k_nearest(x.nrows(), depth, |t| sq_dist(x.row(t), valid.x.row(v)))
-                        .into_iter()
-                        .map(|(d, t)| (d, t as u32))
-                        .collect()
-                },
-            );
+            topk.update_row(7, |t, v| sq_dist(x.row(t), valid.x.row(v)));
             let preds: Vec<usize> = (0..topk.n_valid())
                 .map(|v| {
                     let nearest = topk.neighbors(v)[..5].iter().map(|&(_, t)| t as usize);

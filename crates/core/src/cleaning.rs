@@ -16,8 +16,7 @@ use nde_importance::utility::{ModelUtility, UtilityMetric};
 use nde_learners::dataset::ClassDataset;
 use nde_learners::models::knn;
 use nde_learners::{KnnClassifier, Result};
-use nde_parallel::neighbor_order::k_nearest;
-use nde_parallel::TopKCache;
+use nde_parallel::NeighborCache;
 use nde_tabular::Table;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -196,20 +195,19 @@ pub fn iterative_cleaning(
 }
 
 /// Warm-cache iterative cleaning: the KNN-Shapley path of
-/// [`iterative_cleaning`], re-ranked **every round** from a shared
-/// [`nde_parallel::NeighborCache`] instead of scored once up front, and
-/// re-evaluated from a test-side [`nde_parallel::TopKCache`] instead of a
+/// [`iterative_cleaning`], re-ranked **every round** from a full-ranking
+/// validation-side [`NeighborCache`] instead of scored once up front, and
+/// re-evaluated from a top-k test-side [`NeighborCache`] instead of a
 /// refitted model.
 ///
 /// The feature encoder is fitted once on the dirty table and then held
-/// fixed, so a repaired row only requires re-encoding that row and two
-/// incremental repairs: [`nde_parallel::NeighborCache::update_row`] keeps
-/// the re-score free of distance work, and
-/// [`nde_parallel::TopKCache::update_row`] keeps each test row's nearest
-/// training rows current (re-querying by brute force only the lists the
-/// row moved out of). The one k-d tree of a session builds the test-side
-/// cache; each round's accuracy is the uniform [`knn::vote`] over every
-/// test row's `k` nearest — bit-identical to refitting a
+/// fixed, so a repaired row only requires re-encoding that row and one
+/// [`NeighborCache::update_row`] per cache: the validation side keeps the
+/// re-score free of distance work, and the test side keeps each test row's
+/// nearest training rows current (re-querying by brute force only the
+/// lists the row moved out of). The one k-d tree of a session builds the
+/// test-side cache; each round's accuracy is the uniform [`knn::vote`]
+/// over every test row's `k` nearest — bit-identical to refitting a
 /// [`KnnClassifier`] on the repaired rows. Evaluation uses the same fixed
 /// encoder (this is the one semantic difference from
 /// [`iterative_cleaning`], which refits the encoder on every evaluation).
@@ -238,7 +236,7 @@ pub fn iterative_cleaning_cached(
     // The first `min(k, n)` entries of each test row's list are exactly
     // the neighbors a `KnnClassifier::new(k)` fitted on `train_ds` finds.
     let n_votes = k.max(1).min(train_ds.len());
-    let evaluate = |train_ds: &ClassDataset, test_cache: &TopKCache| -> f64 {
+    let evaluate = |train_ds: &ClassDataset, test_cache: &NeighborCache| -> f64 {
         let preds: Vec<usize> = (0..test_cache.n_valid())
             .map(|v| {
                 let nearest = test_cache.neighbors(v)[..n_votes]
@@ -286,20 +284,8 @@ pub fn iterative_cleaning_cached(
             train_ds.x.row_mut(row).copy_from_slice(repaired.x.row(0));
             train_ds.y[row] = repaired.y[0];
             let train_x = &train_ds.x;
-            cache.update_row(row, |v| sq_dist(train_x.row(row), valid_ds.x.row(v)));
-            let depth = test_cache.k();
-            test_cache.update_row(
-                row,
-                |v| sq_dist(train_x.row(row), test_ds.x.row(v)),
-                |v| {
-                    k_nearest(train_x.nrows(), depth, |t| {
-                        sq_dist(train_x.row(t), test_ds.x.row(v))
-                    })
-                    .into_iter()
-                    .map(|(d, t)| (d, t as u32))
-                    .collect()
-                },
-            );
+            cache.update_row(row, |t, v| sq_dist(train_x.row(t), valid_ds.x.row(v)));
+            test_cache.update_row(row, |t, v| sq_dist(train_x.row(t), test_ds.x.row(v)));
         }
         let accuracy = evaluate(&train_ds, &test_cache);
         round.field("cleaned", cleaned);

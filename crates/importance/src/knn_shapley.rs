@@ -14,7 +14,7 @@ use nde_learners::dataset::ClassDataset;
 use nde_learners::matrix::sq_dist;
 use nde_learners::models::kdtree::KdTree;
 use nde_parallel::neighbor_order::rank_all;
-use nde_parallel::{par_reduce, NeighborCache, TopKCache};
+use nde_parallel::{par_reduce, NeighborCache};
 
 /// Validation points per work chunk. Chunk boundaries depend only on the
 /// validation count, so results are bit-identical for any thread count.
@@ -129,10 +129,12 @@ pub fn build_neighbor_cache(train: &ClassDataset, valid: &ClassDataset) -> Neigh
     })
 }
 
-/// [`knn_shapley`] from a prebuilt [`NeighborCache`]: skips every distance
-/// computation and sort. Labels are passed separately so a cleaning loop
-/// can re-score after label repairs without touching the cache. Equals
-/// [`knn_shapley`] on the same data bit for bit, for every thread count.
+/// [`knn_shapley`] from a prebuilt full-ranking [`NeighborCache`] (every
+/// training row's rank matters, so a top-k cache is refused): skips every
+/// distance computation and sort. Labels are passed separately so a
+/// cleaning loop can re-score after label repairs without touching the
+/// cache. Equals [`knn_shapley`] on the same data bit for bit, for every
+/// thread count.
 pub fn knn_shapley_cached(
     cache: &NeighborCache,
     train_y: &[usize],
@@ -142,6 +144,11 @@ pub fn knn_shapley_cached(
     let n = cache.n_train();
     let m = cache.n_valid();
     check_labels(n, m, train_y, valid_y);
+    assert!(
+        cache.depth() >= n,
+        "knn_shapley_cached needs a cache that ranks every row (depth {} < n_train {n})",
+        cache.depth()
+    );
     if n == 0 || m == 0 {
         return vec![0.0; n];
     }
@@ -170,20 +177,53 @@ pub fn knn_shapley_cached(
     total
 }
 
-/// [`knn_utility_cached`]/[`knn_utility_topk`] shared kernel over any
-/// per-validation-point sorted neighbor lists (full or truncated — only
-/// the first `min(k, n)` entries are ever read).
-fn utility_from_lists<'a, L>(
-    lists: L,
-    n: usize,
-    m: usize,
+/// Builds a top-k [`NeighborCache`] of the `k + 1` nearest training rows
+/// per validation point via k-d-tree queries — the indexed counterpart of
+/// [`build_neighbor_cache`] for the paths that never read past rank `k`
+/// ([`knn_utility_cached`], [`knn_loo_cached`]; the `+ 1` slot is LOO's
+/// vote-slot successor). On low-dimensional data this skips most of the
+/// O(n·m·d) distance matrix; the lists are bit-identical to the
+/// corresponding prefix of the full cache, and identical for every
+/// `NDE_THREADS` value.
+pub fn build_topk_cache(train: &ClassDataset, valid: &ClassDataset, k: usize) -> NeighborCache {
+    let mut span = nde_trace::span("importance.build_topk_cache");
+    span.field("n_train", train.len());
+    span.field("n_valid", valid.len());
+    span.field("k", k);
+    let depth = (k.max(1) + 1).min(train.len());
+    let tree = KdTree::build(train.x.clone());
+    NeighborCache::top_k(train.len(), valid.len(), depth, |v| {
+        tree.nearest_with_distances(valid.x.row(v), depth)
+            .into_iter()
+            .map(|(d, t)| (d, t as u32))
+            .collect()
+    })
+}
+
+/// [`knn_utility`] from a prebuilt [`NeighborCache`] of either depth, as
+/// long as its lists reach rank `k`. Full and top-k caches of the same data
+/// score bit-for-bit alike: both read the identical `k`-prefix.
+pub fn knn_utility_cached(
+    cache: &NeighborCache,
     train_y: &[usize],
     valid_y: &[usize],
     k: usize,
-) -> f64
-where
-    L: Fn(usize) -> &'a [(f64, u32)] + Sync,
-{
+) -> f64 {
+    let n = cache.n_train();
+    let m = cache.n_valid();
+    check_labels(n, m, train_y, valid_y);
+    if n == 0 || m == 0 {
+        return 0.0;
+    }
+    let k = k.max(1);
+    let kk = k.min(n);
+    assert!(
+        cache.depth().min(n) >= kk,
+        "cache depth {} is too shallow for k = {k}",
+        cache.depth()
+    );
+    nde_trace::counter("neighbor_cache.hit").incr();
+    let _span = nde_trace::span("importance.knn_utility_cached");
     let total = par_reduce(
         m,
         VALID_CHUNK,
@@ -191,8 +231,7 @@ where
         |chunk| {
             let mut acc = 0.0;
             for v in chunk {
-                let kk = k.min(n);
-                let correct = lists(v)[..kk]
+                let correct = cache.neighbors(v)[..kk]
                     .iter()
                     .filter(|&&(_, t)| train_y[t as usize] == valid_y[v])
                     .count();
@@ -205,20 +244,37 @@ where
     total / m as f64
 }
 
-/// [`knn_loo_cached`]/[`knn_loo_topk`] shared kernel: only the first
-/// `min(k, n) + 1` entries of each list are ever read (the extra entry is
-/// the successor that inherits the freed vote slot).
-fn loo_from_lists<'a, L>(
-    lists: L,
-    n: usize,
-    m: usize,
+/// Closed-form leave-one-out values of the K-NN utility from a prebuilt
+/// [`NeighborCache`]: `LOO_i = v(D) − v(D∖{i})`. Removing `i` only matters
+/// for validation points where `i` is among the K nearest — its vote slot
+/// is inherited by the (K+1)-th neighbor — so each point costs O(K)
+/// instead of the n·O(utility) evaluations of the generic estimator. A
+/// top-k cache must hold `min(k, n) + 1` entries per list (the successor
+/// slot), which [`build_topk_cache`] with the same `k` guarantees.
+pub fn knn_loo_cached(
+    cache: &NeighborCache,
     train_y: &[usize],
     valid_y: &[usize],
     k: usize,
-) -> Vec<f64>
-where
-    L: Fn(usize) -> &'a [(f64, u32)] + Sync,
-{
+) -> Vec<f64> {
+    let n = cache.n_train();
+    let m = cache.n_valid();
+    check_labels(n, m, train_y, valid_y);
+    if n == 0 || m == 0 {
+        return vec![0.0; n];
+    }
+    let k = k.max(1);
+    let kk = k.min(n);
+    assert!(
+        cache.depth().min(n) >= (kk + 1).min(n),
+        "cache depth {} is too shallow for LOO at k = {k} (needs k + 1)",
+        cache.depth()
+    );
+    nde_trace::counter("neighbor_cache.hit").incr();
+    let mut span = nde_trace::span("importance.knn_loo_cached");
+    span.field("n_train", n);
+    span.field("n_valid", m);
+    span.field("k", k);
     let mut total = par_reduce(
         m,
         VALID_CHUNK,
@@ -227,8 +283,7 @@ where
             let mut deltas = vec![0.0f64; n];
             for v in chunk {
                 let yv = valid_y[v];
-                let list = lists(v);
-                let kk = k.min(n);
+                let list = cache.neighbors(v);
                 let matches = |e: &(f64, u32)| f64::from(u8::from(train_y[e.1 as usize] == yv));
                 // The successor that inherits the freed vote slot (none
                 // when the training set is no larger than K).
@@ -243,121 +298,6 @@ where
     );
     total.iter_mut().for_each(|s| *s /= m as f64);
     total
-}
-
-/// Builds a [`TopKCache`] of the `k + 1` nearest training rows per
-/// validation point via k-d-tree queries — the indexed counterpart of
-/// [`build_neighbor_cache`] for the paths that never read past rank `k`
-/// ([`knn_utility_topk`], [`knn_loo_topk`]; the `+ 1` slot is LOO's
-/// vote-slot successor). On low-dimensional data this skips most of the
-/// O(n·m·d) distance matrix; the lists are bit-identical to the
-/// corresponding prefix of the full cache, and identical for every
-/// `NDE_THREADS` value.
-pub fn build_topk_cache(train: &ClassDataset, valid: &ClassDataset, k: usize) -> TopKCache {
-    let mut span = nde_trace::span("importance.build_topk_cache");
-    span.field("n_train", train.len());
-    span.field("n_valid", valid.len());
-    span.field("k", k);
-    let depth = (k.max(1) + 1).min(train.len());
-    let tree = KdTree::build(train.x.clone());
-    TopKCache::build(train.len(), valid.len(), depth, |v| {
-        tree.nearest_with_distances(valid.x.row(v), depth)
-            .into_iter()
-            .map(|(d, t)| (d, t as u32))
-            .collect()
-    })
-}
-
-/// [`knn_utility`] from a prebuilt [`NeighborCache`].
-pub fn knn_utility_cached(
-    cache: &NeighborCache,
-    train_y: &[usize],
-    valid_y: &[usize],
-    k: usize,
-) -> f64 {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    check_labels(n, m, train_y, valid_y);
-    if n == 0 || m == 0 {
-        return 0.0;
-    }
-    let k = k.max(1);
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let _span = nde_trace::span("importance.knn_utility_cached");
-    utility_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
-}
-
-/// [`knn_utility`] from a prebuilt [`TopKCache`] (built with depth ≥ `k`,
-/// as [`build_topk_cache`] guarantees). Equals [`knn_utility_cached`] on
-/// the full cache bit-for-bit: both read the identical `k`-prefix.
-pub fn knn_utility_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: usize) -> f64 {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    check_labels(n, m, train_y, valid_y);
-    if n == 0 || m == 0 {
-        return 0.0;
-    }
-    let k = k.max(1);
-    assert!(
-        cache.k().min(n) >= k.min(n),
-        "TopKCache depth {} is too shallow for k = {k}",
-        cache.k()
-    );
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let _span = nde_trace::span("importance.knn_utility_topk");
-    utility_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
-}
-
-/// Closed-form leave-one-out values of the K-NN utility from a prebuilt
-/// [`NeighborCache`]: `LOO_i = v(D) − v(D∖{i})`. Removing `i` only matters
-/// for validation points where `i` is among the K nearest — its vote slot
-/// is inherited by the (K+1)-th neighbor — so each point costs O(K)
-/// instead of the n·O(utility) evaluations of the generic estimator.
-pub fn knn_loo_cached(
-    cache: &NeighborCache,
-    train_y: &[usize],
-    valid_y: &[usize],
-    k: usize,
-) -> Vec<f64> {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    check_labels(n, m, train_y, valid_y);
-    if n == 0 || m == 0 {
-        return vec![0.0; n];
-    }
-    let k = k.max(1);
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let mut span = nde_trace::span("importance.knn_loo_cached");
-    span.field("n_train", n);
-    span.field("n_valid", m);
-    span.field("k", k);
-    loo_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
-}
-
-/// [`knn_loo_cached`] from a prebuilt [`TopKCache`]. The cache must hold
-/// at least `min(k, n) + 1` entries per list (the successor slot), which
-/// [`build_topk_cache`] with the same `k` guarantees. Bit-identical to the
-/// full-cache variant.
-pub fn knn_loo_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: usize) -> Vec<f64> {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    check_labels(n, m, train_y, valid_y);
-    if n == 0 || m == 0 {
-        return vec![0.0; n];
-    }
-    let k = k.max(1);
-    let kk = k.min(n);
-    assert!(
-        cache.k().min(n) >= (kk + 1).min(n),
-        "TopKCache depth {} is too shallow for LOO at k = {k} (needs k + 1)",
-        cache.k()
-    );
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let mut span = nde_trace::span("importance.knn_loo_topk");
-    span.field("n_train", n);
-    span.field("n_valid", m);
-    span.field("k", k);
-    loo_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
 }
 
 /// The K-NN utility this Shapley value decomposes: the mean, over
@@ -576,16 +516,16 @@ mod tests {
         let full = build_neighbor_cache(&train, &valid);
         for k in [1usize, 3, 5, 20] {
             let topk = build_topk_cache(&train, &valid, k);
-            assert_eq!(topk.k(), (k + 1).min(train.len()));
+            assert_eq!(topk.depth(), (k + 1).min(train.len()));
             for v in 0..valid.len() {
                 let prefix = &full.neighbors(v)[..topk.neighbors(v).len()];
                 assert_eq!(topk.neighbors(v), prefix, "k={k}, v={v}");
             }
             let u_full = knn_utility_cached(&full, &train.y, &valid.y, k);
-            let u_topk = knn_utility_topk(&topk, &train.y, &valid.y, k);
+            let u_topk = knn_utility_cached(&topk, &train.y, &valid.y, k);
             assert_eq!(u_full.to_bits(), u_topk.to_bits(), "utility k={k}");
             let loo_full = knn_loo_cached(&full, &train.y, &valid.y, k);
-            let loo_topk = knn_loo_topk(&topk, &train.y, &valid.y, k);
+            let loo_topk = knn_loo_cached(&topk, &train.y, &valid.y, k);
             assert_eq!(loo_full, loo_topk, "loo k={k}");
         }
     }
@@ -595,7 +535,15 @@ mod tests {
     fn topk_cache_refuses_deeper_reads_than_it_holds() {
         let (train, valid) = bigger_pair();
         let topk = build_topk_cache(&train, &valid, 1);
-        let _ = knn_utility_topk(&topk, &train.y, &valid.y, 5);
+        let _ = knn_utility_cached(&topk, &train.y, &valid.y, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "ranks every row")]
+    fn shapley_cached_refuses_a_topk_cache() {
+        let (train, valid) = bigger_pair();
+        let topk = build_topk_cache(&train, &valid, 3);
+        let _ = knn_shapley_cached(&topk, &train.y, &valid.y, 3);
     }
 
     // A label vector of the wrong length, too long or too short, is
@@ -622,7 +570,7 @@ mod tests {
     fn utility_topk_rejects_short_train_labels() {
         let (train, valid) = bigger_pair();
         let cache = build_topk_cache(&train, &valid, 3);
-        let _ = knn_utility_topk(&cache, &train.y[1..], &valid.y, 3);
+        let _ = knn_utility_cached(&cache, &train.y[1..], &valid.y, 3);
     }
 
     #[test]
@@ -631,7 +579,7 @@ mod tests {
         let (train, mut valid) = bigger_pair();
         let cache = build_topk_cache(&train, &valid, 3);
         valid.y.push(0);
-        let _ = knn_loo_topk(&cache, &train.y, &valid.y, 3);
+        let _ = knn_loo_cached(&cache, &train.y, &valid.y, 3);
     }
 
     #[test]
@@ -641,7 +589,7 @@ mod tests {
         // Feature repair: move the stray point at x=0.1 back toward its
         // labeled blob, then re-rank only that row.
         train.x.row_mut(7)[0] = 4.6;
-        cache.update_row(7, |v| sq_dist(train.x.row(7), valid.x.row(v)));
+        cache.update_row(7, |t, v| sq_dist(train.x.row(t), valid.x.row(v)));
         // Label repair needs no cache change at all.
         train.y[8] = 1;
         let rebuilt = build_neighbor_cache(&train, &valid);

@@ -10,14 +10,12 @@
 //!    from [`chunk_seed`]. Together these make every result bit-identical
 //!    for 1, 2, or N threads, so parallelism can be turned up without
 //!    perturbing any seed-pinned experiment.
-//! 2. **[`NeighborCache`]**: per-validation-point sorted neighbor orderings
-//!    for k-NN utilities, with incremental invalidation when a single
-//!    training row is repaired — the cleaning loop's re-score drops from a
-//!    full O(m·n·(d + log n)) rebuild to O(m·n) list surgery. Its truncated
-//!    sibling [`TopKCache`] keeps only the `k` nearest per validation
-//!    point, letting index-backed builds (k-d tree queries) skip the full
-//!    distance matrix for the paths that never read past rank `k`, and
-//!    repairs a row in place unless the row moved out of a list.
+//! 2. **[`NeighborCache`]**: per-validation-point sorted neighbor lists
+//!    for k-NN utilities and votes — full rankings, or only the `k`
+//!    nearest when an index (k-d tree queries) fills them without the full
+//!    distance matrix. Repairing a single training row is list surgery
+//!    ([`NeighborCache::update_row`]) instead of a rebuild, so the cleaning
+//!    loop's re-score drops from O(m·n·(d + log n)) to O(m·n).
 //! 3. **[`neighbor_order`]**: the one `(distance, index)` order every
 //!    exact k-NN path ranks by, with [`neighbor_order::rank_all`] for full
 //!    orderings and the bounded [`neighbor_order::KNearest`] selector for
@@ -33,11 +31,12 @@
 //! per-worker busy time into the `parallel.worker_busy_us` histogram, the
 //! max/mean busy ratio of the most recent fan-out into the
 //! `parallel.imbalance` gauge, and bumps the `parallel.fan_outs` counter.
-//! [`NeighborCache`] counts cold builds (`neighbor_cache.miss`) and
-//! incremental repairs (`neighbor_cache.repair`); [`TopKCache`] counts
-//! truncated builds (`neighbor_cache.topk_build`) under the
-//! `neighbor_cache.build_topk` span, repairs (`neighbor_cache.topk_repair`)
-//! and the lists a repair had to re-query (`neighbor_cache.topk_requery`).
+//! [`NeighborCache`] counts full-ranking builds (`neighbor_cache.miss`,
+//! under the `neighbor_cache.build` span) and repairs
+//! (`neighbor_cache.repair`), and top-k builds
+//! (`neighbor_cache.topk_build`, under `neighbor_cache.build_topk`),
+//! repairs (`neighbor_cache.topk_repair`) and the lists a repair had to
+//! re-query (`neighbor_cache.topk_requery`).
 //! All instrumentation is observational: results are bit-identical with
 //! tracing on or off.
 
@@ -48,7 +47,7 @@ use std::time::{Duration, Instant};
 mod neighbor_cache;
 pub mod neighbor_order;
 
-pub use neighbor_cache::{NeighborCache, TopKCache};
+pub use neighbor_cache::NeighborCache;
 
 /// Worker count for all fan-out primitives: `NDE_THREADS` when set to a
 /// positive integer, otherwise `std::thread::available_parallelism()`
@@ -262,12 +261,19 @@ where
 mod tests {
     use super::*;
 
+    /// Runs `body` with `NDE_THREADS = n`, then restores the caller's
+    /// value. Unit tests run concurrently, so the lock keeps one test's
+    /// setting from leaking into another's body.
     fn with_threads<R>(n: usize, body: impl FnOnce() -> R) -> R {
-        // Tests in this crate run serially per-process env mutation; the
-        // integration determinism suite covers cross-crate behavior.
+        static ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let before = std::env::var("NDE_THREADS");
         std::env::set_var("NDE_THREADS", n.to_string());
         let out = body();
-        std::env::remove_var("NDE_THREADS");
+        match before {
+            Ok(v) => std::env::set_var("NDE_THREADS", v),
+            Err(_) => std::env::remove_var("NDE_THREADS"),
+        }
         out
     }
 

@@ -1,30 +1,54 @@
-//! Per-validation-point sorted neighbor orderings with incremental
-//! invalidation — the data structure behind warm-cache k-NN re-scoring —
-//! plus [`TopKCache`], its truncated sibling for paths that only ever
-//! read the `k` nearest neighbors.
+//! Per-validation-point sorted neighbor lists with incremental repair —
+//! the data structure behind warm-cache k-NN re-scoring and re-evaluation.
 
-use crate::neighbor_order::{self, rank_all};
+use crate::neighbor_order::{self, k_nearest, rank_all};
 use crate::{par_for_each_mut, par_map_chunks};
 use std::cmp::Ordering;
 
-/// For each validation point, the full list of training rows sorted by
-/// `(distance, row index)` ascending. Building it costs one full distance
-/// matrix + sort (parallelized over validation points); repairing one
-/// training row costs a linear scan + binary-search insert per list
-/// ([`NeighborCache::update_row`]), which is what makes repeated
-/// KNN-Shapley / LOO re-scoring inside a cleaning loop cheap.
+/// For each validation point, training rows sorted by `(distance, row
+/// index)` ascending: either every row ([`NeighborCache::build`], which
+/// exact KNN-Shapley needs) or only the `k` nearest
+/// ([`NeighborCache::top_k`], enough for prediction, the k-NN utility and
+/// LOO, and fillable by index queries that skip the full distance matrix).
+/// Repairing one training row ([`NeighborCache::update_row`]) costs a
+/// scan and a binary-search insert per list instead of a rebuild, which is
+/// what makes repeated re-scoring inside a cleaning loop cheap. Builds and
+/// repairs fan out over validation points, yet the result is identical for
+/// every thread count (each list is a pure function of its own distances).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborCache {
     n_train: usize,
+    /// `None` when every list ranks all training rows, `Some(k)` when it
+    /// holds only the `min(k, n_train)` nearest.
+    top_k: Option<usize>,
     /// `lists[v]` is sorted ascending by `(squared distance, train index)`.
     lists: Vec<Vec<(f64, u32)>>,
 }
 
-/// Rejects NaN distances: the cached lists feed binary searches and
-/// closed-form recursions that assume a meaningful order.
-fn checked(distance: f64) -> f64 {
+/// Rejects NaN distances in full rankings: they feed closed-form
+/// recursions that assume a meaningful order.
+fn reject_nan(distance: f64) -> f64 {
     assert!(!distance.is_nan(), "neighbor distances must not be NaN");
     distance
+}
+
+/// Validates a top-k query or re-query result for list `v`.
+fn checked_list(v: usize, list: Vec<(f64, u32)>, expected: usize) -> Vec<(f64, u32)> {
+    assert_eq!(
+        list.len(),
+        expected,
+        "list {v} must hold min(k, n_train) neighbors"
+    );
+    assert!(
+        list.is_sorted_by(|a, b| neighbor_order::cmp(a, b).is_le()),
+        "list {v} must be sorted in neighbor order"
+    );
+    list
+}
+
+fn insert_sorted(list: &mut Vec<(f64, u32)>, entry: (f64, u32)) {
+    let at = list.partition_point(|e| neighbor_order::cmp(e, &entry) == Ordering::Less);
+    list.insert(at, entry);
 }
 
 impl NeighborCache {
@@ -32,148 +56,66 @@ impl NeighborCache {
     /// amortize scheduling, small enough to balance skewed lists.
     const CHUNK: usize = 8;
 
-    /// Builds the cache from a distance oracle. `dist(t, v)` must return a
-    /// non-NaN distance between training row `t` and validation point `v`
-    /// (NaN panics); each list is ranked by [`neighbor_order::rank_all`].
-    /// Runs in parallel over validation points, yet the result is
-    /// identical for every thread count (each list is a pure function of
-    /// its own distances).
+    /// Builds a full-ranking cache from a distance oracle. `dist(t, v)`
+    /// must return a non-NaN distance between training row `t` and
+    /// validation point `v` (NaN panics); each list is ranked by
+    /// [`neighbor_order::rank_all`].
     pub fn build<F>(n_train: usize, n_valid: usize, dist: F) -> Self
     where
         F: Fn(usize, usize) -> f64 + Sync,
     {
-        assert!(
-            n_train <= u32::MAX as usize,
-            "training set too large for u32 indices"
-        );
         // A cold build is the "miss" side of the warm-path economics the
         // cached importance estimators report as `neighbor_cache.hit`.
         nde_trace::counter("neighbor_cache.miss").incr();
         let mut span = nde_trace::span("neighbor_cache.build");
         span.field("n_train", n_train);
         span.field("n_valid", n_valid);
-        let lists: Vec<Vec<(f64, u32)>> = par_map_chunks(n_valid, Self::CHUNK, |range| {
-            range
-                .map(|v| rank_all(n_train, |t| checked(dist(t, v))))
-                .collect::<Vec<_>>()
+        Self::collect(n_train, n_valid, None, |v| {
+            rank_all(n_train, |t| reject_nan(dist(t, v)))
         })
-        .into_iter()
-        .flatten()
-        .collect();
-        NeighborCache { n_train, lists }
     }
 
-    /// Number of training rows each list ranks.
-    pub fn n_train(&self) -> usize {
-        self.n_train
-    }
-
-    /// Number of validation points (lists).
-    pub fn n_valid(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// The full sorted neighbor ordering for validation point `v`:
-    /// `(squared distance, training row)` ascending by `(distance, index)`.
-    pub fn neighbors(&self, v: usize) -> &[(f64, u32)] {
-        &self.lists[v]
-    }
-
-    /// Re-ranks a single repaired training row. `new_dist(v)` returns the
-    /// repaired row's distance to validation point `v`. Each list is
-    /// updated by removing the old entry (linear scan) and inserting the
-    /// new one at its sorted position (binary search) — O(n) per list
-    /// versus O(n log n + n·d) for a rebuild. Updates run in parallel over
-    /// lists; the result equals a full rebuild with the new distances.
-    pub fn update_row<F>(&mut self, row: usize, new_dist: F)
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        assert!(
-            row < self.n_train,
-            "row {row} out of range (n_train = {})",
-            self.n_train
-        );
-        nde_trace::counter("neighbor_cache.repair").incr();
-        let row32 = row as u32;
-        par_for_each_mut(&mut self.lists, Self::CHUNK, |v, list| {
-            let old = list
-                .iter()
-                .position(|&(_, t)| t == row32)
-                .expect("every training row appears in every list");
-            list.remove(old);
-            let entry = (checked(new_dist(v)), row32);
-            let at = list.partition_point(|e| neighbor_order::cmp(e, &entry) == Ordering::Less);
-            list.insert(at, entry);
-        });
-    }
-}
-
-/// A truncated neighbor cache: for each validation point, only the `k`
-/// nearest training rows, sorted ascending by `(squared distance, train
-/// index)` — the same entry shape and tie-break as [`NeighborCache`], cut
-/// off after `k`.
-///
-/// Exact KNN-Shapley needs the *full* ordering (every training point's
-/// rank matters), so it keeps [`NeighborCache`]; prediction, the k-NN
-/// utility, and LOO only ever read a `k`-prefix, and a top-k structure fed
-/// by sublinear index queries (e.g. a k-d tree) skips the O(n·m·d)
-/// distance matrix entirely. Build fan-out runs over validation points
-/// with fixed chunk boundaries, so the result is bit-identical for every
-/// thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKCache {
-    n_train: usize,
-    k: usize,
-    /// `lists[v]` holds the `min(k, n_train)` nearest training rows of
-    /// validation point `v`, sorted ascending by `(distance, index)`.
-    lists: Vec<Vec<(f64, u32)>>,
-}
-
-impl TopKCache {
-    /// Builds the truncated cache from a per-validation-point query
-    /// oracle. `query(v)` must return the `min(k, n_train)` nearest
-    /// `(squared distance, train index)` pairs for validation point `v`,
-    /// sorted ascending with ties broken by train index — exactly what
-    /// `KdTree::nearest_with_distances` produces (and identical to a
-    /// truncated brute-force scan).
-    pub fn build<F>(n_train: usize, n_valid: usize, k: usize, query: F) -> Self
+    /// Builds a top-k cache from a per-validation-point query oracle.
+    /// `query(v)` must return the `min(k, n_train)` nearest `(squared
+    /// distance, train index)` pairs for validation point `v` in neighbor
+    /// order — exactly what `KdTree::nearest_with_distances` produces (and
+    /// identical to a truncated brute-force scan). NaN distances are
+    /// accepted; they rank as [`neighbor_order::cmp`] says.
+    pub fn top_k<F>(n_train: usize, n_valid: usize, k: usize, query: F) -> Self
     where
         F: Fn(usize) -> Vec<(f64, u32)> + Sync,
     {
-        assert!(
-            n_train <= u32::MAX as usize,
-            "training set too large for u32 indices"
-        );
         nde_trace::counter("neighbor_cache.topk_build").incr();
         let mut span = nde_trace::span("neighbor_cache.build_topk");
         span.field("n_train", n_train);
         span.field("n_valid", n_valid);
         span.field("k", k);
         let expected = k.min(n_train);
-        let lists: Vec<Vec<(f64, u32)>> = par_map_chunks(n_valid, Self::CHUNK, |range| {
-            range
-                .map(|v| {
-                    let list = query(v);
-                    assert_eq!(
-                        list.len(),
-                        expected,
-                        "query({v}) must return min(k, n_train) neighbors"
-                    );
-                    debug_assert!(list.is_sorted_by(|a, b| neighbor_order::cmp(a, b).is_le()));
-                    list
-                })
-                .collect::<Vec<_>>()
+        Self::collect(n_train, n_valid, Some(k), |v| {
+            checked_list(v, query(v), expected)
+        })
+    }
+
+    fn collect<L>(n_train: usize, n_valid: usize, top_k: Option<usize>, list: L) -> Self
+    where
+        L: Fn(usize) -> Vec<(f64, u32)> + Sync,
+    {
+        assert!(
+            n_train <= u32::MAX as usize,
+            "training set too large for u32 indices"
+        );
+        let lists = par_map_chunks(n_valid, Self::CHUNK, |range| {
+            range.map(&list).collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
         .collect();
-        TopKCache { n_train, k, lists }
+        NeighborCache {
+            n_train,
+            top_k,
+            lists,
+        }
     }
-
-    /// Chunk width for fan-out over validation points (matches
-    /// [`NeighborCache`]).
-    const CHUNK: usize = 8;
 
     /// Number of training rows the cache was built over.
     pub fn n_train(&self) -> usize {
@@ -185,82 +127,94 @@ impl TopKCache {
         self.lists.len()
     }
 
-    /// The truncation depth `k` the cache was built with.
-    pub fn k(&self) -> usize {
-        self.k
+    /// How many neighbors a list holds at most: `k` for a top-k cache,
+    /// `n_train` for a full ranking.
+    pub fn depth(&self) -> usize {
+        self.top_k.unwrap_or(self.n_train)
     }
 
-    /// The `min(k, n_train)` nearest neighbors of validation point `v`:
-    /// `(squared distance, training row)` ascending by `(distance, index)`
-    /// — a prefix of the corresponding [`NeighborCache::neighbors`] list.
+    /// The sorted neighbors of validation point `v`: `(squared distance,
+    /// training row)` ascending by `(distance, index)`, `min(depth,
+    /// n_train)` of them. A top-k list is a prefix of the full ranking.
     pub fn neighbors(&self, v: usize) -> &[(f64, u32)] {
         &self.lists[v]
     }
 
-    /// Re-ranks a single repaired training row — the truncated sibling of
-    /// [`NeighborCache::update_row`]. `new_dist(v)` returns the repaired
-    /// row's distance to validation point `v`; `requery(v)` must return
-    /// what [`TopKCache::build`]'s `query(v)` would return now. Each list
-    /// compares the repaired entry under [`neighbor_order::cmp`]:
+    /// Re-ranks a single repaired training row. `dist(t, v)` returns the
+    /// current distance between training row `t` and validation point
+    /// `v`. Each list compares the row's new entry with its old one under
+    /// [`neighbor_order::cmp`]:
     ///
-    /// - row not in the list: the entry enters only if it beats the
-    ///   list's worst, which it displaces (exact: no other entry moved);
-    /// - row in the list, entry no worse than before: it is re-positioned;
-    /// - row in the list, entry farther than before: a row outside the
-    ///   list may now belong in it, so the list becomes `requery(v)`.
+    /// - full ranking: the row is re-positioned (linear scan plus
+    ///   binary-search insert — O(n) versus O(n log n + n·d) to rebuild);
+    /// - top-k, row in the list and no farther than before: re-positioned;
+    /// - top-k, row not in the list: it enters only if it beats the list's
+    ///   worst, which it displaces (exact: no other entry moved);
+    /// - top-k, row in the list and farther than before: a row outside the
+    ///   list may now belong in it, so the list is re-queried by a
+    ///   brute-force scan of `dist(·, v)`.
     ///
-    /// Lists are repaired serially (each is a `k`-entry scan). The result
-    /// equals a fresh [`TopKCache::build`] with the new distances.
-    pub fn update_row<F, Q>(&mut self, row: usize, new_dist: F, requery: Q)
+    /// Only that re-query calls `dist` for rows other than `row`. Lists are
+    /// repaired in parallel; the result equals a fresh build with the new
+    /// distances.
+    pub fn update_row<F>(&mut self, row: usize, dist: F)
     where
-        F: Fn(usize) -> f64,
-        Q: Fn(usize) -> Vec<(f64, u32)>,
+        F: Fn(usize, usize) -> f64 + Sync,
     {
         assert!(
             row < self.n_train,
             "row {row} out of range (n_train = {})",
             self.n_train
         );
-        nde_trace::counter("neighbor_cache.topk_repair").incr();
-        let expected = self.k.min(self.n_train);
+        let (n_train, top_k) = (self.n_train, self.top_k);
+        nde_trace::counter(match top_k {
+            None => "neighbor_cache.repair",
+            Some(_) => "neighbor_cache.topk_repair",
+        })
+        .incr();
         let row32 = row as u32;
-        for (v, list) in self.lists.iter_mut().enumerate() {
-            let entry = (new_dist(v), row32);
-            let insert = |list: &mut Vec<(f64, u32)>| {
-                let at = list.partition_point(|e| neighbor_order::cmp(e, &entry) == Ordering::Less);
-                list.insert(at, entry);
+        par_for_each_mut(&mut self.lists, Self::CHUNK, |v, list| {
+            let entry = (dist(row, v), row32);
+            let old = list.iter().position(|&(_, t)| t == row32);
+            let Some(k) = top_k else {
+                // A full ranking holds every row, so the row only moves.
+                reject_nan(entry.0);
+                list.remove(old.expect("every training row appears in every full list"));
+                insert_sorted(list, entry);
+                return;
             };
-            match list.iter().position(|&(_, t)| t == row32) {
+            match old {
                 None => {
                     if list
                         .last()
                         .is_some_and(|worst| neighbor_order::cmp(&entry, worst) == Ordering::Less)
                     {
                         list.pop();
-                        insert(list);
+                        insert_sorted(list, entry);
                     }
                 }
                 Some(old) if neighbor_order::cmp(&entry, &list[old]).is_le() => {
                     list.remove(old);
-                    insert(list);
+                    insert_sorted(list, entry);
                 }
                 Some(_) => {
                     nde_trace::counter("neighbor_cache.topk_requery").incr();
-                    *list = requery(v);
-                    assert_eq!(
-                        list.len(),
-                        expected,
-                        "requery({v}) must return min(k, n_train) neighbors"
-                    );
+                    let nearest = k_nearest(n_train, k, |t| dist(t, v))
+                        .into_iter()
+                        .map(|(d, t)| (d, t as u32))
+                        .collect();
+                    *list = checked_list(v, nearest, k.min(n_train));
                 }
             }
-        }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::Mutex;
 
     /// Deterministic pseudo-data without external crates.
     fn point(i: usize, dims: usize, salt: u64) -> Vec<f64> {
@@ -283,6 +237,7 @@ mod tests {
         let cache = NeighborCache::build(40, 9, |t, v| sq_dist(&train[t], &valid[v]));
         assert_eq!(cache.n_valid(), 9);
         assert_eq!(cache.n_train(), 40);
+        assert_eq!(cache.depth(), 40);
         for v in 0..9 {
             let list = cache.neighbors(v);
             assert_eq!(list.len(), 40);
@@ -301,10 +256,32 @@ mod tests {
 
         for (step, &row) in [0usize, 17, 29, 17].iter().enumerate() {
             train[row] = point(100 + step, 4, 5);
-            cache.update_row(row, |v| sq_dist(&train[row], &valid[v]));
+            cache.update_row(row, |t, v| sq_dist(&train[t], &valid[v]));
             let rebuilt = NeighborCache::build(30, 7, |t, v| sq_dist(&train[t], &valid[v]));
             assert_eq!(cache, rebuilt, "divergence after repairing row {row}");
         }
+    }
+
+    /// A full ranking holds every row, so a repair only ever re-positions
+    /// the row — even when it moves farther from every point, the case in
+    /// which a top-k list would re-query.
+    #[test]
+    fn full_ranking_repair_never_requeries() {
+        let mut train: Vec<Vec<f64>> = (0..30).map(|i| point(i, 3, 6)).collect();
+        let valid: Vec<Vec<f64>> = (0..20).map(|i| point(i, 3, 7)).collect();
+        let mut cache = NeighborCache::build(30, 20, |t, v| sq_dist(&train[t], &valid[v]));
+        let row = 11;
+        train[row] = vec![1e3; 3];
+        let other_rows = AtomicUsize::new(0);
+        cache.update_row(row, |t, v| {
+            if t != row {
+                other_rows.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+            sq_dist(&train[t], &valid[v])
+        });
+        assert_eq!(other_rows.into_inner(), 0);
+        let rebuilt = NeighborCache::build(30, 20, |t, v| sq_dist(&train[t], &valid[v]));
+        assert_eq!(cache, rebuilt);
     }
 
     #[test]
@@ -334,8 +311,8 @@ mod tests {
         let valid: Vec<Vec<f64>> = (0..9).map(|i| point(i, 3, 2)).collect();
         let full = NeighborCache::build(40, 9, |t, v| sq_dist(&train[t], &valid[v]));
         for k in [1usize, 5, 40, 60] {
-            let topk = TopKCache::build(40, 9, k, |v| brute_top_k(&train, &valid, v, k));
-            assert_eq!(topk.k(), k);
+            let topk = NeighborCache::top_k(40, 9, k, |v| brute_top_k(&train, &valid, v, k));
+            assert_eq!(topk.depth(), k);
             assert_eq!(topk.n_train(), 40);
             assert_eq!(topk.n_valid(), 9);
             for v in 0..9 {
@@ -365,19 +342,21 @@ mod tests {
                 .map(|(d, t)| (d, t as u32))
                 .collect()
         };
-        let mut cache = TopKCache::build(4, 2, 2, |v| query(&dist, v));
+        let mut cache = NeighborCache::top_k(4, 2, 2, |v| query(&dist, v));
         dist[3] = vec![20.0, 20.0];
-        let requeried = std::cell::RefCell::new(Vec::new());
-        cache.update_row(
-            3,
-            |v| dist[3][v],
-            |v| {
-                requeried.borrow_mut().push(v);
-                query(&dist, v)
-            },
-        );
-        assert_eq!(requeried.into_inner(), vec![0]);
-        assert_eq!(cache, TopKCache::build(4, 2, 2, |v| query(&dist, v)));
+        // A re-query is the only repair step that reads rows other than 3.
+        let requeried = Mutex::new(Vec::new());
+        cache.update_row(3, |t, v| {
+            if t != 3 {
+                requeried.lock().unwrap().push(v);
+            }
+            dist[t][v]
+        });
+        let mut requeried = requeried.into_inner().unwrap();
+        requeried.sort_unstable();
+        requeried.dedup();
+        assert_eq!(requeried, vec![0]);
+        assert_eq!(cache, NeighborCache::top_k(4, 2, 2, |v| query(&dist, v)));
     }
 
     #[test]
@@ -390,12 +369,12 @@ mod tests {
     #[should_panic(expected = "must not be NaN")]
     fn update_row_rejects_nan_distances() {
         let mut cache = NeighborCache::build(4, 2, |t, v| (t + v) as f64);
-        cache.update_row(3, |v| if v == 1 { f64::NAN } else { 0.5 });
+        cache.update_row(3, |_, v| if v == 1 { f64::NAN } else { 0.5 });
     }
 
     #[test]
     #[should_panic(expected = "min(k, n_train) neighbors")]
     fn topk_cache_rejects_short_lists() {
-        let _ = TopKCache::build(10, 2, 5, |_| vec![(0.0, 0)]);
+        let _ = NeighborCache::top_k(10, 2, 5, |_| vec![(0.0, 0)]);
     }
 }

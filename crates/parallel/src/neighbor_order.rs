@@ -1,7 +1,7 @@
 //! The workspace's one neighbor order, and the two ways to rank under it.
 //!
-//! Every exact k-NN path — KNN-Shapley, the [`NeighborCache`] and
-//! [`TopKCache`] lists, k-d-tree search (every fitted k-NN model), the
+//! Every exact k-NN path — KNN-Shapley, the [`NeighborCache`] lists
+//! (full and top-k), k-d-tree search (every fitted k-NN model), the
 //! brute-force oracle and retrieval — ranks candidates by ascending
 //! `(distance, index)`: distances compare with [`f64::total_cmp`], ties
 //! go to the lower index.
@@ -15,14 +15,14 @@
 //!   scan.
 //!
 //! [`NeighborCache`]: crate::NeighborCache
-//! [`TopKCache`]: crate::TopKCache
 
 use std::cmp::Ordering;
 
 /// The neighbor order: ascending distance under [`f64::total_cmp`], ties
-/// broken by ascending index. Total even on NaN, so sorting never panics;
-/// callers that must not see NaN (the neighbor caches) assert it
-/// themselves.
+/// broken by ascending index. Total even on NaN, so sorting never panics.
+/// Only full-ranking neighbor caches reject NaN (they assert it
+/// themselves); top-k caches, k-d-tree search and the brute-force oracle
+/// rank it like any other distance.
 pub fn cmp<I: Ord>(a: &(f64, I), b: &(f64, I)) -> Ordering {
     a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
 }

@@ -1,11 +1,11 @@
 //! Property-based tests for the deterministic parallel layer: the
-//! incremental [`NeighborCache`] and [`TopKCache`] repair paths must be
-//! indistinguishable from rebuilding the cache from scratch, for any data
-//! and repair sequence, and the neighbor-order rankings must equal an
+//! incremental [`NeighborCache`] repairs, of full and of top-k lists, must
+//! be indistinguishable from rebuilding the cache from scratch, for any
+//! data and repair sequence, and the neighbor-order rankings must equal an
 //! independent full sort.
 
 use nde_parallel::neighbor_order::{k_nearest, rank_all, KNearest};
-use nde_parallel::{NeighborCache, TopKCache};
+use nde_parallel::NeighborCache;
 use proptest::prelude::*;
 
 /// The neighbor order written out independently of `neighbor_order`: a
@@ -38,10 +38,10 @@ fn arb_distance() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// A [`TopKCache`] fed by the brute-force `k_nearest` oracle over a
-/// `dists[train][valid]` matrix.
-fn topk_from_oracle(dists: &[Vec<f64>], n_valid: usize, k: usize) -> TopKCache {
-    TopKCache::build(dists.len(), n_valid, k, |v| oracle_list(dists, v, k))
+/// A top-k [`NeighborCache`] fed by the brute-force `k_nearest` oracle
+/// over a `dists[train][valid]` matrix.
+fn topk_from_oracle(dists: &[Vec<f64>], n_valid: usize, k: usize) -> NeighborCache {
+    NeighborCache::top_k(dists.len(), n_valid, k, |v| oracle_list(dists, v, k))
 }
 
 fn oracle_list(dists: &[Vec<f64>], v: usize, k: usize) -> Vec<(f64, u32)> {
@@ -52,7 +52,7 @@ fn oracle_list(dists: &[Vec<f64>], v: usize, k: usize) -> Vec<(f64, u32)> {
 }
 
 /// Every list with its distances as bits, so NaN entries compare equal.
-fn topk_bits(cache: &TopKCache) -> Vec<Vec<(u64, u32)>> {
+fn topk_bits(cache: &NeighborCache) -> Vec<Vec<(u64, u32)>> {
     (0..cache.n_valid())
         .map(|v| {
             cache
@@ -67,10 +67,12 @@ fn topk_bits(cache: &TopKCache) -> Vec<Vec<(u64, u32)>> {
 proptest! {
     /// A sequence of single-row repairs applied with `update_row` yields
     /// exactly the cache that `build` would produce from the final state —
-    /// same neighbors, same order, same distances, bit for bit.
+    /// same neighbors, same order, same distances, bit for bit. Up to 19
+    /// validation points span three 8-list chunks, so repairs run on one
+    /// worker or fan out, whichever `NDE_THREADS` allows.
     #[test]
     fn incremental_repair_matches_full_rebuild(
-        (train, valid, repairs) in (2usize..12, 1usize..8, 1usize..3).prop_flat_map(
+        (train, valid, repairs) in (2usize..12, 1usize..20, 1usize..3).prop_flat_map(
             |(n_train, n_valid, d)| {
                 (
                     arb_points(n_train, d),
@@ -91,7 +93,7 @@ proptest! {
             train[row] = new_point;
             let train_ref = &train;
             let valid_ref = &valid;
-            cache.update_row(row, |v| sq_dist(&train_ref[row], &valid_ref[v]));
+            cache.update_row(row, |t, v| sq_dist(&train_ref[t], &valid_ref[v]));
         }
         let rebuilt = NeighborCache::build(train.len(), valid.len(), |t, v| {
             sq_dist(&train[t], &valid[v])
@@ -99,15 +101,16 @@ proptest! {
         prop_assert_eq!(&cache, &rebuilt);
     }
 
-    /// A sequence of single-row repairs applied with
-    /// `TopKCache::update_row` yields, after every step, exactly the cache
+    /// A sequence of single-row repairs applied with `update_row` to a
+    /// top-k cache yields, after every step, exactly the cache
     /// a fresh oracle-fed `build` produces — for k = 1, 3, n and n + 5.
     /// Each repair redraws some of the row's distances and keeps the rest,
     /// so rows move nearer, move farther, stay put, and enter or leave
-    /// lists; ties and NaNs of either sign are common.
+    /// lists; ties and NaNs of either sign are common. As above, up to 19
+    /// validation points let repairs fan out over workers.
     #[test]
     fn topk_repair_matches_a_fresh_build(
-        (dists, n_valid, repairs) in (1usize..14, 1usize..6).prop_flat_map(
+        (dists, n_valid, repairs) in (1usize..14, 1usize..20).prop_flat_map(
             |(n_train, n_valid)| {
                 (
                     prop::collection::vec(
@@ -132,7 +135,7 @@ proptest! {
         let mut dists = dists;
         let n = dists.len();
         let depths = [1, 3, n, n + 5];
-        let mut caches: Vec<TopKCache> = depths
+        let mut caches: Vec<NeighborCache> = depths
             .iter()
             .map(|&k| topk_from_oracle(&dists, n_valid, k))
             .collect();
@@ -143,7 +146,7 @@ proptest! {
                 }
             }
             for (cache, &k) in caches.iter_mut().zip(&depths) {
-                cache.update_row(row, |v| dists[row][v], |v| oracle_list(&dists, v, k));
+                cache.update_row(row, |t, v| dists[t][v]);
                 let fresh = topk_from_oracle(&dists, n_valid, k);
                 prop_assert_eq!(topk_bits(cache), topk_bits(&fresh), "k = {}, row {}", k, row);
                 if k >= n {

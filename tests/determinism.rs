@@ -196,8 +196,8 @@ fn env_driven_entry_points_are_thread_count_invariant() {
     let (train, valid) = encoded_splits();
     let indexed = KnnClassifier::new(5).fit(&train).unwrap();
 
-    // A warm cleaning session: parallel NeighborCache build and repairs,
-    // the kd-tree-fed test-side top-k cache and its serial repairs.
+    // A warm cleaning session: parallel builds and repairs of the full
+    // validation-side cache and the kd-tree-fed test-side top-k cache.
     let session = HiringScenario::generate(&HiringConfig {
         n_train: 100,
         n_valid: 40,

@@ -1,7 +1,7 @@
 //! End-to-end observability: the fig2 warm-cache cleaning flow, traced to
 //! the JSON sink, must emit parseable JSON-lines with per-operator spans
-//! and NeighborCache hit/miss counters — and with tracing off (the
-//! default), nothing may be recorded at all. This test binary is its own
+//! and the full-ranking and top-k NeighborCache counters — and with
+//! tracing off (the default), nothing may be recorded at all. This test binary is its own
 //! process, so the sink override does not leak into other suites.
 
 use navigating_data_errors::core::cleaning::iterative_cleaning_cached;
@@ -86,6 +86,8 @@ fn traced_cleaning_emits_parseable_spans_and_cache_counters() {
     // The cleaning loop re-scored from the warm cache each round…
     assert!(spans_named("importance.knn_shapley_cached") >= 2);
     assert_eq!(spans_named("neighbor_cache.build"), 1);
+    // …and re-evaluated from one kd-tree-fed top-k test-side cache.
+    assert_eq!(spans_named("neighbor_cache.build_topk"), 1);
     assert!(spans_named("cleaning.round") >= 2);
     // …and the pipeline operators each produced a span with row counts.
     for op in ["pipeline.source", "pipeline.filter"] {
@@ -118,6 +120,9 @@ fn traced_cleaning_emits_parseable_spans_and_cache_counters() {
     assert_eq!(counter_value("neighbor_cache.miss"), 1);
     assert!(counter_value("neighbor_cache.hit") >= 2);
     assert_eq!(counter_value("neighbor_cache.repair"), 40);
+    // The same repairs also went through the test-side top-k cache.
+    assert_eq!(counter_value("neighbor_cache.topk_build"), 1);
+    assert_eq!(counter_value("neighbor_cache.topk_repair"), 40);
 
     let _ = std::fs::remove_file(&path);
 }
