@@ -7,6 +7,7 @@
 use crate::exec::Sources;
 use crate::plan::{Node, Plan};
 use crate::Result;
+use nde_quality::{ColumnSketch, TableProfile};
 use nde_tabular::Table;
 use std::collections::HashMap;
 
@@ -43,12 +44,8 @@ impl InspectionReport {
     }
 }
 
-fn numeric_summary(table: &Table, column: &str) -> Option<(f64, f64)> {
-    let profile = table.describe_column(column).ok()?;
-    match (profile.mean, profile.std) {
-        (Some(m), Some(s)) => Some((m, s)),
-        _ => None,
-    }
+fn numeric_summary(sketch: &ColumnSketch) -> Option<(f64, f64)> {
+    Some((sketch.moments.mean_opt()?, sketch.moments.std()?))
 }
 
 fn shares(table: &Table, column: &str) -> Option<HashMap<String, f64>> {
@@ -86,11 +83,17 @@ pub fn inspect(
         let mut observer = |node: &Node, table: &Table| {
             let mut group_shares = HashMap::new();
             let mut numeric_stats = HashMap::new();
+            // Profiled lazily: only outputs carrying a watched non-string
+            // column pay for sketching, and each pays once.
+            let mut profile: Option<TableProfile> = None;
             for &col in watched {
                 if let Some(s) = shares(table, col) {
                     group_shares.insert(col.to_owned(), s);
-                } else if let Some(stats) = numeric_summary(table, col) {
-                    numeric_stats.insert(col.to_owned(), stats);
+                } else if table.column(col).is_ok() {
+                    let profile = profile.get_or_insert_with(|| table.quality_profile());
+                    if let Some(stats) = profile.column(col).and_then(numeric_summary) {
+                        numeric_stats.insert(col.to_owned(), stats);
+                    }
                 }
             }
             reports.push(OperatorReport {

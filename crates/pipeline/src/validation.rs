@@ -5,7 +5,7 @@
 //! other batch — new training data, a serving slice — against them,
 //! reporting anomalies and train/serving drift.
 
-use nde_tabular::profile::ColumnProfile;
+use nde_quality::{ColumnKind, ColumnSketch};
 use nde_tabular::{DataType, Table};
 
 /// Per-column expectations inferred from a reference table.
@@ -19,13 +19,14 @@ pub struct ColumnExpectation {
     pub max_null_fraction: f64,
     /// Tolerated numeric range (slack-widened), when numeric.
     pub range: Option<(f64, f64)>,
-    /// Allowed categorical domain, when low-cardinality string.
+    /// Allowed categorical domain, when a string column with at most
+    /// [`nde_quality::DEFAULT_HEAVY_CAPACITY`] distinct values.
     pub domain: Option<Vec<String>>,
-    /// Reference mean/std for drift checks, when numeric.
-    pub reference_stats: Option<(f64, f64)>,
-    /// A (possibly downsampled) reference sample for distribution-shape
-    /// checks (two-sample Kolmogorov–Smirnov), when numeric.
-    pub reference_sample: Option<Vec<f64>>,
+    /// The reference column's sketch, when numeric with at least one
+    /// non-null value: its moments drive the mean-drift check and its
+    /// quantile sketch the distribution-shape (two-sample
+    /// Kolmogorov–Smirnov) check.
+    pub reference: Option<ColumnSketch>,
 }
 
 /// The inferred expectation set.
@@ -124,32 +125,6 @@ pub enum Anomaly {
     },
 }
 
-/// Two-sample Kolmogorov–Smirnov distance `sup |F₁ − F₂|` over the pooled
-/// support. Returns 0 when either sample is empty.
-pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let mut best = 0.0f64;
-    while i < sa.len() && j < sb.len() {
-        let x = sa[i].min(sb[j]);
-        while i < sa.len() && sa[i] <= x {
-            i += 1;
-        }
-        while j < sb.len() && sb[j] <= x {
-            j += 1;
-        }
-        best = best.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    best
-}
-
 /// Infers expectations from a reference table.
 ///
 /// ```
@@ -171,47 +146,32 @@ pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
 ///     .any(|a| matches!(a, Anomaly::OutOfRange { count: 1, .. })));
 /// ```
 pub fn infer_expectations(reference: &Table, cfg: &ValidationConfig) -> Expectations {
+    let profile = reference.quality_profile();
     let columns = reference
-        .describe()
-        .into_iter()
-        .map(|p: ColumnProfile| {
-            let range = match (p.min, p.max) {
+        .schema()
+        .fields()
+        .iter()
+        .zip(profile.columns)
+        .map(|(field, sketch)| {
+            let range = match (sketch.moments.min, sketch.moments.max) {
                 (Some(lo), Some(hi)) => {
                     let slack = (hi - lo).abs().max(1e-9) * cfg.range_slack;
                     Some((lo - slack, hi + slack))
                 }
                 _ => None,
             };
-            let reference_stats = match (p.mean, p.std) {
-                (Some(m), Some(s)) => Some((m, s)),
-                _ => None,
-            };
-            let reference_sample = if reference_stats.is_some() {
-                reference
-                    .column(&p.name)
-                    .ok()
-                    .and_then(|c| c.to_f64().ok())
-                    .map(|vals| {
-                        let present: Vec<f64> = vals.into_iter().flatten().collect();
-                        // Deterministic downsample to bound memory.
-                        if present.len() > 1000 {
-                            let step = present.len() / 1000 + 1;
-                            present.into_iter().step_by(step).collect()
-                        } else {
-                            present
-                        }
-                    })
-            } else {
-                None
-            };
+            // An unsaturated heavy-hitters sketch holds every distinct
+            // value; a saturated one means the column is too high-
+            // cardinality to have a domain.
+            let domain = (sketch.kind == ColumnKind::Categorical && !sketch.heavy.saturated())
+                .then(|| sketch.heavy.keys().map(str::to_owned).collect());
             ColumnExpectation {
-                max_null_fraction: (p.null_fraction() + cfg.null_slack).min(1.0),
-                domain: p.categories.clone(),
-                name: p.name,
-                dtype: p.dtype,
+                name: field.name.clone(),
+                dtype: field.dtype,
+                max_null_fraction: (sketch.null_rate() + cfg.null_slack).min(1.0),
                 range,
-                reference_stats,
-                reference_sample,
+                domain,
+                reference: (sketch.moments.present() > 0).then_some(sketch),
             }
         })
         .collect();
@@ -225,9 +185,10 @@ pub fn validate(
     expectations: &Expectations,
     cfg: &ValidationConfig,
 ) -> Vec<Anomaly> {
+    let profile = table.quality_profile();
     let mut anomalies = Vec::new();
     for exp in &expectations.columns {
-        let Ok(col) = table.column(&exp.name) else {
+        let (Ok(col), Some(sketch)) = (table.column(&exp.name), profile.column(&exp.name)) else {
             anomalies.push(Anomaly::MissingColumn {
                 name: exp.name.clone(),
             });
@@ -241,11 +202,10 @@ pub fn validate(
             });
             continue;
         }
-        let profile = table.describe_column(&exp.name).expect("column exists");
-        if profile.null_fraction() > exp.max_null_fraction + 1e-12 {
+        if sketch.null_rate() > exp.max_null_fraction + 1e-12 {
             anomalies.push(Anomaly::NullRate {
                 name: exp.name.clone(),
-                observed: profile.null_fraction(),
+                observed: sketch.null_rate(),
                 allowed: exp.max_null_fraction,
             });
         }
@@ -276,8 +236,11 @@ pub fn validate(
                 });
             }
         }
-        if let (Some((ref_mean, ref_std)), Some(mean)) = (exp.reference_stats, profile.mean) {
-            let magnitude = (mean - ref_mean).abs() / ref_std.max(1e-9);
+        let Some(reference) = &exp.reference else {
+            continue;
+        };
+        if let (Some(mean), Some(ref_std)) = (sketch.moments.mean_opt(), reference.moments.std()) {
+            let magnitude = (mean - reference.moments.mean).abs() / ref_std.max(1e-9);
             if magnitude > cfg.drift_threshold {
                 anomalies.push(Anomaly::Drift {
                     name: exp.name.clone(),
@@ -285,15 +248,12 @@ pub fn validate(
                 });
             }
         }
-        if let (Some(reference_sample), Ok(vals)) = (&exp.reference_sample, col.to_f64()) {
-            let present: Vec<f64> = vals.into_iter().flatten().collect();
-            let ks = ks_distance(reference_sample, &present);
-            if ks > cfg.ks_threshold {
-                anomalies.push(Anomaly::DistributionShift {
-                    name: exp.name.clone(),
-                    ks,
-                });
-            }
+        let ks = reference.quantiles.ks_statistic(&sketch.quantiles);
+        if ks > cfg.ks_threshold {
+            anomalies.push(Anomaly::DistributionShift {
+                name: exp.name.clone(),
+                ks,
+            });
         }
     }
     for field in table.schema().fields() {
@@ -405,19 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn ks_distance_properties() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(ks_distance(&a, &a), 0.0);
-        // Disjoint supports → distance 1.
-        let b = [10.0, 11.0, 12.0];
-        assert_eq!(ks_distance(&a, &b), 1.0);
-        // Symmetry.
-        let c = [1.5, 2.5, 3.5];
-        assert!((ks_distance(&a, &c) - ks_distance(&c, &a)).abs() < 1e-12);
-        assert_eq!(ks_distance(&[], &a), 0.0);
-    }
-
-    #[test]
     fn variance_change_triggers_ks_but_not_mean_drift() {
         // Same mean (3.0), wildly different spread: KS fires, mean-drift
         // does not — the case the shape check exists for.
@@ -474,6 +421,70 @@ mod tests {
             .int("age", [20, 50, 35])
             .build()
             .unwrap();
+        assert!(validate(&batch, &exp, &cfg).is_empty());
+    }
+
+    #[test]
+    fn categorical_domains_survive_shard_merges() {
+        // 6 000 rows span three profile chunks. Values come in sorted
+        // blocks, so no single chunk sees every value and the domain is
+        // assembled by the shard merges.
+        let codes = |distinct: usize| {
+            let values = (0..6_000).map(|i| format!("c{:02}", i * distinct / 6_000));
+            Table::builder().str("code", values).build().unwrap()
+        };
+        let cfg = ValidationConfig::default();
+        let exp = infer_expectations(&codes(64), &cfg);
+        assert_eq!(exp.columns[0].domain.as_ref().map(Vec::len), Some(64));
+        assert!(validate(&codes(64), &exp, &cfg).is_empty());
+        let batch = Table::builder().str("code", ["c07", "zz"]).build().unwrap();
+        assert_eq!(
+            validate(&batch, &exp, &cfg),
+            vec![Anomaly::UnseenCategory {
+                name: "code".into(),
+                values: vec!["zz".into()],
+            }]
+        );
+
+        // A 65th value makes the union overflow the sketch capacity: the
+        // merge trims and marks it saturated, so there is no domain and
+        // nothing counts as unseen. The same holds when every chunk sees
+        // all 65 values and eviction happens inside each shard.
+        let cyclic = Table::builder()
+            .str("code", (0..6_000).map(|i| format!("c{:02}", i % 65)))
+            .build()
+            .unwrap();
+        for reference in [codes(65), cyclic] {
+            let exp = infer_expectations(&reference, &cfg);
+            assert_eq!(exp.columns[0].domain, None);
+            for table in [&reference, &batch] {
+                let anomalies = validate(table, &exp, &cfg);
+                assert!(
+                    !anomalies
+                        .iter()
+                        .any(|a| matches!(a, Anomaly::UnseenCategory { .. })),
+                    "{anomalies:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_null_numeric_columns_have_no_reference() {
+        let cfg = ValidationConfig::default();
+        let reference = Table::builder()
+            .float("x", vec![None::<f64>; 5_000])
+            .build()
+            .unwrap();
+        let exp = infer_expectations(&reference, &cfg);
+        assert!(exp.columns[0].reference.is_none());
+        assert_eq!(exp.columns[0].range, None);
+        assert_eq!(exp.columns[0].max_null_fraction, 1.0);
+        let batch = Table::builder()
+            .float("x", [Some(1.0), Some(1e6), None])
+            .build()
+            .unwrap();
+        assert!(validate(&reference, &exp, &cfg).is_empty());
         assert!(validate(&batch, &exp, &cfg).is_empty());
     }
 }

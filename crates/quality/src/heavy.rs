@@ -63,12 +63,14 @@ impl HeavyHitters {
             self.entries.insert(key.to_owned(), (1, 0));
             return;
         }
-        // Evict the minimum-count key; BTreeMap iteration order makes the
-        // lexicographically smallest minimum the deterministic victim.
+        // Evict the minimum-count key. BTreeMap iterates in key order and
+        // `min_by_key` keeps the first minimum, so the lexicographically
+        // smallest minimum is the deterministic victim without comparing
+        // (or cloning) keys.
         let victim = self
             .entries
             .iter()
-            .min_by_key(|(k, &(count, _))| (count, (*k).clone()))
+            .min_by_key(|(_, &(count, _))| count)
             .map(|(k, &(count, _))| (k.clone(), count))
             .expect("non-empty at capacity");
         self.entries.remove(&victim.0);
@@ -131,6 +133,13 @@ impl HeavyHitters {
         self.entries.len()
     }
 
+    /// Tracked keys in ascending order. Until the sketch is
+    /// [`saturated`](HeavyHitters::saturated) these are exactly the
+    /// distinct values observed.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.entries.keys().map(String::as_str)
+    }
+
     /// Internal state for serialization: `(capacity, total, entries)`.
     pub fn state(&self) -> (usize, u64, &BTreeMap<String, (u64, u64)>) {
         (self.capacity, self.total, &self.entries)
@@ -186,6 +195,23 @@ mod tests {
         assert_eq!(top[0].0, "heavy");
         assert!(top[0].1 >= 50, "count is an upper bound: {:?}", top);
         assert_eq!(hh.tracked(), 2);
+    }
+
+    #[test]
+    fn eviction_picks_the_smallest_key_among_tied_minima() {
+        let mut hh = HeavyHitters::with_capacity(4);
+        for key in ["m", "d", "d", "q", "b"] {
+            hh.push(key);
+        }
+        // "b", "m" and "q" tie at count 1; "b" is evicted, whatever the
+        // insertion order, and "d" (count 2) survives.
+        hh.push("z");
+        assert_eq!(hh.keys().collect::<Vec<_>>(), ["d", "m", "q", "z"]);
+        assert_eq!(hh.state().2["z"], (2, 1));
+        // The next eviction takes "m", the smallest of the remaining ties.
+        hh.push("a");
+        assert_eq!(hh.keys().collect::<Vec<_>>(), ["a", "d", "q", "z"]);
+        assert_eq!(hh.state().2["a"], (2, 1));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Where `nde-trace` watches the **code** (spans, counters, wall times),
 //! this crate watches the **data**: mergeable per-column profile sketches
 //! collected at pipeline operator boundaries, and drift scores that
-//! compare a run against a committed baseline. Everything is std-only
+//! compare a run against a committed baseline. The same sketches are the
+//! workspace's only column summary: data validation and pipeline
+//! inspections in `nde-pipeline` read them too. Everything is std-only
 //! and deterministic — the same cells, pushed or merged in the same
 //! order, always produce the same bits, which is what lets shard
 //! profiles from `nde-parallel` chunks combine identically for any
@@ -19,7 +21,8 @@
 //!    deterministic parity counter; exact on small columns, mergeable,
 //!    and the source of approximate p50/p95/p99 and KS statistics.
 //! 3. [`HeavyHitters`] — space-saving top-k for categoricals with
-//!    lexicographic tie-breaking; the source of PSI scores.
+//!    lexicographic tie-breaking; the source of PSI scores and, while
+//!    unsaturated, of exact categorical domains.
 //! 4. [`DistinctSketch`] — k-minimum-values over XOR-folded FNV hashes;
 //!    merge is a set union, so it is order-independent outright.
 //!

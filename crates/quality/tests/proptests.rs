@@ -51,6 +51,34 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// Independent two-sample Kolmogorov–Smirnov distance: evaluates both
+/// empirical CDFs at every pooled sample point by counting, so it shares
+/// no code path with the sketch's merged sweep.
+fn brute_force_ks(a: &[f64], b: &[f64]) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let cdf = |sample: &[f64], x: f64| sample.iter().filter(|&&v| v <= x).count() as f64;
+    let (na, nb) = (a.len() as f64, b.len() as f64);
+    a.iter()
+        .chain(b)
+        .map(|&x| (cdf(a, x) / na - cdf(b, x) / nb).abs())
+        .fold(0.0, f64::max)
+}
+
+fn sketch_of(values: &[f64], chunk_len: usize) -> QuantileSketch {
+    values
+        .chunks(chunk_len.max(1))
+        .fold(QuantileSketch::new(), |mut acc, chunk| {
+            let mut shard = QuantileSketch::new();
+            for &v in chunk {
+                shard.push(v);
+            }
+            acc.merge(&shard);
+            acc
+        })
+}
+
 proptest! {
     /// Chunked in-order merges conserve everything that must be *exactly*
     /// grouping-independent: cell/null counts, extrema, and the KMV
@@ -168,5 +196,28 @@ proptest! {
         if !true_counts.is_empty() {
             prop_assert!((share_sum - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// Below per-level capacity (no compaction, serial or merged) the
+    /// sketch KS statistic is the exact two-sample KS distance, bit for
+    /// bit: 0 for identical samples, 1 for disjoint supports, symmetric,
+    /// and 0 when either side is empty. Integer-valued cells force ties
+    /// inside and across the two samples.
+    #[test]
+    fn ks_statistic_is_exact_below_capacity(
+        a in prop::collection::vec((-30i32..30).prop_map(f64::from), 0..199),
+        b in prop::collection::vec((-30i32..30).prop_map(f64::from), 0..199),
+        chunk_len in 1usize..64,
+    ) {
+        let (sa, sb) = (sketch_of(&a, chunk_len), sketch_of(&b, 1 + chunk_len / 2));
+        let ks = sa.ks_statistic(&sb);
+        prop_assert_eq!(ks.to_bits(), brute_force_ks(&a, &b).to_bits());
+        prop_assert_eq!(ks.to_bits(), sb.ks_statistic(&sa).to_bits());
+        prop_assert_eq!(sa.ks_statistic(&sketch_of(&a, 7)), 0.0);
+        prop_assert_eq!(sa.ks_statistic(&QuantileSketch::new()), 0.0);
+        prop_assert_eq!(QuantileSketch::new().ks_statistic(&sb), 0.0);
+        let shifted: Vec<f64> = b.iter().map(|v| v + 100.0).collect();
+        let disjoint = sa.ks_statistic(&sketch_of(&shifted, chunk_len));
+        prop_assert_eq!(disjoint, if a.is_empty() || b.is_empty() { 0.0 } else { 1.0 });
     }
 }

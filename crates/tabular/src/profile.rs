@@ -1,128 +1,13 @@
-//! Column profiling: the summary statistics that data-validation systems
-//! (TFX Data Validation, Deequ) compute as the basis for expectations.
+//! The `Table` → [`TableProfile`] bridge: every column statistic in the
+//! workspace (data validation, pipeline inspections, the drift gate) is
+//! read from the mergeable `nde-quality` sketches built here.
 
 use crate::column::Column;
 use crate::table::Table;
-use crate::value::DataType;
-use nde_quality::{ColumnSketch, QuantileSketch, TableProfile};
-use std::collections::BTreeSet;
+use nde_quality::{ColumnSketch, TableProfile};
 use std::ops::Range;
 
-/// Summary statistics of one column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnProfile {
-    /// Column name.
-    pub name: String,
-    /// Column type.
-    pub dtype: DataType,
-    /// Total cells.
-    pub count: usize,
-    /// Null cells.
-    pub nulls: usize,
-    /// Mean of numeric cells (None for non-numeric or all-null).
-    pub mean: Option<f64>,
-    /// Population standard deviation of numeric cells.
-    pub std: Option<f64>,
-    /// Minimum numeric value.
-    pub min: Option<f64>,
-    /// Maximum numeric value.
-    pub max: Option<f64>,
-    /// Approximate median of numeric cells (sketch-backed; exact while
-    /// the column fits in one uncompacted sketch buffer).
-    pub p50: Option<f64>,
-    /// Approximate 95th percentile of numeric cells.
-    pub p95: Option<f64>,
-    /// Approximate 99th percentile of numeric cells.
-    pub p99: Option<f64>,
-    /// Distinct non-null string values, capped at [`DISTINCT_CAP`]
-    /// (None for non-string columns or when the cap is exceeded).
-    pub categories: Option<Vec<String>>,
-    /// Whether a string column exceeded [`DISTINCT_CAP`] distinct values
-    /// (distinguishes "cardinality too high" from "not a string column",
-    /// both of which leave `categories` as `None`).
-    pub distinct_overflow: bool,
-}
-
-/// Maximum tracked distinct values for categorical profiling.
-pub const DISTINCT_CAP: usize = 64;
-
-impl ColumnProfile {
-    /// Null fraction (`0.0` for empty columns).
-    pub fn null_fraction(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.nulls as f64 / self.count as f64
-        }
-    }
-}
-
-fn profile_column(name: &str, col: &Column) -> ColumnProfile {
-    let (mut mean, mut std, mut min, mut max) = (None, None, None, None);
-    let (mut p50, mut p95, mut p99) = (None, None, None);
-    if let Ok(vals) = col.to_f64() {
-        let present: Vec<f64> = vals.into_iter().flatten().collect();
-        if !present.is_empty() {
-            let m = present.iter().sum::<f64>() / present.len() as f64;
-            let var = present.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / present.len() as f64;
-            mean = Some(m);
-            std = Some(var.sqrt());
-            min = Some(present.iter().copied().fold(f64::INFINITY, f64::min));
-            max = Some(present.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-            let mut sketch = QuantileSketch::new();
-            for &v in &present {
-                sketch.push(v);
-            }
-            p50 = sketch.quantile(0.5);
-            p95 = sketch.quantile(0.95);
-            p99 = sketch.quantile(0.99);
-        }
-    }
-    let mut distinct_overflow = false;
-    let categories = col.as_str().and_then(|cells| {
-        let mut distinct: BTreeSet<&str> = BTreeSet::new();
-        for cell in cells.iter().flatten() {
-            distinct.insert(cell.as_str());
-            if distinct.len() > DISTINCT_CAP {
-                distinct_overflow = true;
-                return None;
-            }
-        }
-        Some(distinct.into_iter().map(str::to_owned).collect())
-    });
-    ColumnProfile {
-        name: name.to_owned(),
-        dtype: col.dtype(),
-        count: col.len(),
-        nulls: col.null_count(),
-        mean,
-        std,
-        min,
-        max,
-        p50,
-        p95,
-        p99,
-        categories,
-        distinct_overflow,
-    }
-}
-
 impl Table {
-    /// Profiles every column.
-    pub fn describe(&self) -> Vec<ColumnProfile> {
-        self.schema()
-            .fields()
-            .iter()
-            .zip(self.columns())
-            .map(|(f, c)| profile_column(&f.name, c))
-            .collect()
-    }
-
-    /// Profiles one column by name.
-    pub fn describe_column(&self, name: &str) -> crate::Result<ColumnProfile> {
-        Ok(profile_column(name, self.column(name)?))
-    }
-
     /// Builds the streaming [`TableProfile`] (mergeable sketches) for this
     /// table, sharding rows across `NDE_THREADS` workers. Chunk boundaries
     /// and the in-order shard merge are functions of the row count only,
@@ -227,69 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn numeric_profile() {
-        let p = demo().describe_column("x").unwrap();
-        assert_eq!(p.count, 4);
-        assert_eq!(p.nulls, 1);
-        assert_eq!(p.mean, Some(3.0));
-        assert_eq!(p.min, Some(1.0));
-        assert_eq!(p.max, Some(5.0));
-        assert!(p.std.unwrap() > 1.0);
-        assert!((p.null_fraction() - 0.25).abs() < 1e-12);
-        assert!(p.categories.is_none());
-    }
-
-    #[test]
-    fn string_profile_collects_categories() {
-        let p = demo().describe_column("cat").unwrap();
-        assert_eq!(p.categories, Some(vec!["a".to_owned(), "b".to_owned()]));
-        assert_eq!(p.mean, None);
-    }
-
-    #[test]
-    fn describe_covers_all_columns() {
-        let profiles = demo().describe();
-        assert_eq!(profiles.len(), 3);
-        assert_eq!(profiles[2].name, "n");
-        assert_eq!(profiles[2].dtype, DataType::Int);
-    }
-
-    #[test]
-    fn high_cardinality_strings_drop_categories() {
-        let values: Vec<String> = (0..100).map(|i| format!("v{i}")).collect();
-        let t = Table::builder().str("s", values).build().unwrap();
-        let p = t.describe_column("s").unwrap();
-        assert!(p.categories.is_none());
-        // The overflow is explicit, not conflated with "not a string column".
-        assert!(p.distinct_overflow);
-        let below_cap = t.head(DISTINCT_CAP).describe_column("s").unwrap();
-        assert!(!below_cap.distinct_overflow);
-        assert_eq!(
-            below_cap.categories.as_ref().map(Vec::len),
-            Some(DISTINCT_CAP)
-        );
-        let numeric = demo().describe_column("x").unwrap();
-        assert!(!numeric.distinct_overflow);
-    }
-
-    #[test]
-    fn sketch_quantiles_match_exact_on_small_columns() {
-        // Below the sketch's compaction threshold the quantiles are exact:
-        // nearest-rank order statistics of the sorted column.
-        let values: Vec<f64> = (1..=100).map(f64::from).collect();
-        let t = Table::builder().float("v", values).build().unwrap();
-        let p = t.describe_column("v").unwrap();
-        assert_eq!(p.p50, Some(50.0));
-        assert_eq!(p.p95, Some(95.0));
-        assert_eq!(p.p99, Some(99.0));
-        // Non-numeric and all-null columns stay None.
-        let cat = demo().describe_column("cat").unwrap();
-        assert_eq!(cat.p50, None);
-        let t = Table::builder().float("v", [None::<f64>]).build().unwrap();
-        assert_eq!(t.describe_column("v").unwrap().p95, None);
-    }
-
-    #[test]
     fn quality_profile_covers_all_column_types() {
         let t = demo();
         let profile = t.quality_profile();
@@ -298,12 +120,38 @@ mod tests {
         let x = profile.column("x").unwrap();
         assert_eq!(x.count, 4);
         assert_eq!(x.nulls, 1);
+        assert!((x.null_rate() - 0.25).abs() < 1e-12);
+        assert_eq!(x.moments.mean_opt(), Some(3.0));
+        assert!(x.moments.std().unwrap() > 1.0);
         assert_eq!(x.moments.min, Some(1.0));
         assert_eq!(x.moments.max, Some(5.0));
         let cat = profile.column("cat").unwrap();
         assert_eq!(cat.kind, nde_quality::ColumnKind::Categorical);
         assert_eq!(cat.nulls, 1);
         assert_eq!(cat.heavy.top()[0].0, "a");
+        assert_eq!(cat.moments.mean_opt(), None);
+        assert_eq!(cat.quantile(0.5), None);
+        let n = &profile.columns[2];
+        assert_eq!(n.name, "n");
+        assert_eq!(n.kind, nde_quality::ColumnKind::Numeric);
+    }
+
+    #[test]
+    fn string_columns_keep_their_exact_domain_until_the_heavy_capacity() {
+        let profile = demo().quality_profile();
+        let cat = &profile.columns[1];
+        assert_eq!(cat.heavy.keys().collect::<Vec<_>>(), ["a", "b"]);
+        assert!(!cat.heavy.saturated());
+
+        let cap = nde_quality::DEFAULT_HEAVY_CAPACITY;
+        let values: Vec<String> = (0..100).map(|i| format!("v{i}")).collect();
+        let t = Table::builder().str("s", values).build().unwrap();
+        // Overflow is explicit: the sketch marks itself saturated.
+        assert!(t.quality_profile().columns[0].heavy.saturated());
+        let below_cap = t.head(cap).quality_profile();
+        assert!(!below_cap.columns[0].heavy.saturated());
+        assert_eq!(below_cap.columns[0].heavy.tracked(), cap);
+        assert!(!demo().quality_profile().columns[0].heavy.saturated());
     }
 
     #[test]
@@ -351,12 +199,15 @@ mod tests {
             .float("x", Vec::<f64>::new())
             .build()
             .unwrap();
-        let p = t.describe_column("x").unwrap();
-        assert_eq!(p.mean, None);
-        assert_eq!(p.null_fraction(), 0.0);
+        let x = &t.quality_profile().columns[0];
+        assert_eq!(x.moments.mean_opt(), None);
+        assert_eq!(x.moments.std(), None);
+        assert_eq!(x.null_rate(), 0.0);
         let t = Table::builder().float("x", [None::<f64>]).build().unwrap();
-        let p = t.describe_column("x").unwrap();
-        assert_eq!(p.mean, None);
-        assert_eq!(p.null_fraction(), 1.0);
+        let x = &t.quality_profile().columns[0];
+        assert_eq!(x.moments.mean_opt(), None);
+        assert_eq!(x.moments.min, None);
+        assert_eq!(x.quantile(0.95), None);
+        assert_eq!(x.null_rate(), 1.0);
     }
 }

@@ -12,7 +12,7 @@
 use nde_core::challenge::{Challenge, ChallengeConfig};
 use nde_core::cleaning::{iterative_cleaning_cached, Strategy};
 use nde_core::scenario::encode_splits;
-use nde_datagen::errors::{flip_labels, inject_missing, Mechanism};
+use nde_datagen::errors::{flip_labels, inject_missing, inject_shift, Mechanism};
 use nde_datagen::{HiringConfig, HiringScenario};
 use nde_importance::knn_shapley::{build_topk_cache, knn_shapley};
 use nde_importance::semivalue::{banzhaf_msr, tmc_shapley, McConfig};
@@ -22,6 +22,7 @@ use nde_learners::matrix::sq_dist;
 use nde_learners::models::knn::argmax;
 use nde_learners::{KnnClassifier, Learner};
 use nde_parallel::neighbor_order::k_nearest;
+use nde_pipeline::validation::{infer_expectations, validate, Anomaly, ValidationConfig};
 use nde_uncertain::cpclean::{certain_fraction, IncompleteDataset};
 use nde_uncertain::incomplete::IncompleteMatrix;
 use nde_uncertain::interval::Interval;
@@ -148,6 +149,80 @@ fn quality_profile_is_thread_count_invariant() {
                 "serialized sketch state differs at {threads} workers"
             );
         }
+    }
+}
+
+/// An anomaly with every `f64` field spelled as its bit pattern.
+fn anomaly_bits(anomaly: &Anomaly) -> String {
+    match anomaly {
+        Anomaly::NullRate {
+            name,
+            observed,
+            allowed,
+        } => format!(
+            "NullRate {name} {:x} {:x}",
+            observed.to_bits(),
+            allowed.to_bits()
+        ),
+        Anomaly::OutOfRange {
+            name,
+            count,
+            range: (lo, hi),
+        } => format!(
+            "OutOfRange {name} {count} {:x} {:x}",
+            lo.to_bits(),
+            hi.to_bits()
+        ),
+        Anomaly::Drift { name, magnitude } => format!("Drift {name} {:x}", magnitude.to_bits()),
+        Anomaly::DistributionShift { name, ks } => {
+            format!("DistributionShift {name} {:x}", ks.to_bits())
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// Data validation reads sharded quality profiles of both the reference
+/// and the batch, so its expectations and anomalies must not depend on
+/// the worker count. 5 000 rows span three profile chunks; the batch is
+/// corrupted so that every `f64`-carrying anomaly kind fires.
+#[test]
+fn validation_is_thread_count_invariant() {
+    let s = HiringScenario::generate(&HiringConfig {
+        n_train: 5_000,
+        n_valid: 0,
+        n_test: 0,
+        ..Default::default()
+    });
+    let (batch, _) = inject_missing(&s.train, "employer_rating", 0.3, Mechanism::Mnar, 3).unwrap();
+    let (batch, _) = inject_shift(&batch, "employer_rating", 3.0, 1.0).unwrap();
+    let cfg = ValidationConfig::default();
+    let anomalies = sweep_threads(
+        || {
+            let expectations = infer_expectations(&s.train, &cfg);
+            let ranges: Vec<Option<(u64, u64)>> = expectations
+                .columns
+                .iter()
+                .map(|e| e.range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits())))
+                .collect();
+            let anomalies: Vec<String> = validate(&batch, &expectations, &cfg)
+                .iter()
+                .map(anomaly_bits)
+                .collect();
+            (ranges, anomalies)
+        },
+        |threads, reference, candidate| {
+            assert_eq!(
+                candidate, reference,
+                "validation differs at {threads} workers"
+            );
+        },
+    )
+    .1;
+    for kind in ["NullRate", "OutOfRange", "Drift", "DistributionShift"] {
+        assert!(
+            anomalies.iter().any(|a| a.starts_with(kind)),
+            "{kind} missing from {anomalies:?}"
+        );
     }
 }
 
