@@ -1,9 +1,13 @@
-//! Plan execution — plain, or traced with provenance monomials.
+//! Plan execution: one operator walk over borrowed sources. A plain run
+//! and a traced run do the same operator work; the traced run also
+//! carries one provenance [`Monomial`] per row and opens a span per
+//! operator.
 
 use crate::plan::{Node, Plan, PlanJoin};
 use crate::provenance::{Monomial, ProvToken};
 use crate::{PipelineError, Result};
 use nde_tabular::{JoinType, Table};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Named source tables a plan executes over.
@@ -50,39 +54,86 @@ impl TracedTable {
 /// An execution observer: called with every operator's label and output.
 pub(crate) type Observer<'o> = &'o mut dyn FnMut(&Node, &Table);
 
+/// Looks up a named source table.
+pub(crate) fn lookup_source<'a>(sources: &'a Sources, name: &str) -> Result<&'a Table> {
+    sources
+        .get(name)
+        .ok_or_else(|| PipelineError::UnknownSource {
+            name: name.to_owned(),
+        })
+}
+
+/// The sources a walk reads: the caller's map, with at most one table
+/// substituted. What-if re-runs patch one source this way instead of
+/// copying the map.
+#[derive(Clone, Copy)]
+pub(crate) struct SourceView<'a> {
+    pub(crate) sources: &'a Sources,
+    pub(crate) patch: Option<(&'a str, &'a Table)>,
+}
+
+impl<'a> SourceView<'a> {
+    /// A view of `sources` with nothing substituted.
+    pub(crate) fn new(sources: &'a Sources) -> Self {
+        SourceView {
+            sources,
+            patch: None,
+        }
+    }
+
+    fn get(&self, name: &str) -> Result<&'a Table> {
+        match self.patch {
+            Some((patched, table)) if patched == name => Ok(table),
+            _ => lookup_source(self.sources, name),
+        }
+    }
+}
+
 impl Plan {
     /// Executes the plan over `sources` without provenance bookkeeping.
     pub fn run(&self, sources: &Sources) -> Result<Table> {
-        let mut span = nde_trace::span("pipeline.run");
-        let out = eval_plain(&self.node, sources);
-        if let Ok(table) = &out {
-            span.field("rows_out", table.num_rows());
-            record_final_profile(&self.node, table);
-        }
-        out
+        Ok(self
+            .execute(SourceView::new(sources), false, &mut |_, _| {})?
+            .table)
     }
 
     /// Executes the plan, annotating every output row with its provenance.
     pub fn run_traced(&self, sources: &Sources) -> Result<TracedTable> {
-        self.run_traced_observed(sources, &mut |_, _| {})
+        self.execute(SourceView::new(sources), true, &mut |_, _| {})
     }
 
-    /// Traced execution with a per-operator observer (used by inspections).
-    pub(crate) fn run_traced_observed(
+    /// The one execution path. `traced` adds lineage and per-operator
+    /// spans; the operators themselves run identically either way. The
+    /// `lineage` of an untraced result is empty.
+    pub(crate) fn execute(
         &self,
-        sources: &Sources,
+        view: SourceView<'_>,
+        traced: bool,
         observer: Observer<'_>,
     ) -> Result<TracedTable> {
-        let mut span = nde_trace::span("pipeline.run_traced");
-        let mut source_names = Vec::new();
-        let (table, lineage) = eval(&self.node, sources, &mut source_names, observer)?;
+        let mut span = nde_trace::span(if traced {
+            "pipeline.run_traced"
+        } else {
+            "pipeline.run"
+        });
+        let mut walk = Walk {
+            view,
+            traced,
+            source_names: Vec::new(),
+            observer,
+        };
+        let (table, lineage) = walk.eval(&self.node)?;
+        // The only copy of a source: a plan that is a bare source.
+        let table = table.into_owned();
         span.field("rows_out", table.num_rows());
-        span.field("sources", source_names.len());
+        if traced {
+            span.field("sources", walk.source_names.len());
+        }
         record_final_profile(&self.node, &table);
         Ok(TracedTable {
             table,
-            lineage,
-            source_names,
+            lineage: lineage.unwrap_or_default(),
+            source_names: walk.source_names,
         })
     }
 }
@@ -129,203 +180,143 @@ fn record_op_profile(node: &Node, table: &Table) {
     }
 }
 
-/// Lineage-free evaluation: the baseline the provenance-overhead ablation
-/// compares against.
-fn eval_plain(node: &Node, sources: &Sources) -> Result<Table> {
-    let table = eval_plain_inner(node, sources)?;
-    record_op_profile(node, &table);
-    Ok(table)
-}
-
-fn eval_plain_inner(node: &Node, sources: &Sources) -> Result<Table> {
-    match node {
-        Node::Source { name } => sources
-            .get(name)
-            .cloned()
-            .ok_or_else(|| PipelineError::UnknownSource { name: name.clone() }),
-        Node::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            how,
-        } => {
-            let lt = eval_plain(left, sources)?;
-            let rt = eval_plain(right, sources)?;
-            match how {
-                PlanJoin::Inner => Ok(lt.inner_join(&rt, left_key, right_key)?),
-                PlanJoin::Left => Ok(lt.left_join(&rt, left_key, right_key)?),
-            }
-        }
-        Node::FuzzyJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            max_distance,
-        } => {
-            let lt = eval_plain(left, sources)?;
-            let rt = eval_plain(right, sources)?;
-            Ok(lt.fuzzy_join(&rt, left_key, right_key, *max_distance)?)
-        }
-        Node::Filter { input, pred, .. } => Ok(eval_plain(input, sources)?.filter(|r| pred(r))?),
-        Node::WithColumn {
-            input, name, udf, ..
-        } => Ok(eval_plain(input, sources)?.with_column(name, |r| udf(r))?),
-        Node::Project { input, columns } => {
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            Ok(eval_plain(input, sources)?.select(&names)?)
-        }
-        Node::DropNulls { input, columns } => {
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            Ok(eval_plain(input, sources)?.drop_nulls(&names)?)
-        }
-        Node::Concat { top, bottom } => {
-            Ok(eval_plain(top, sources)?.concat(&eval_plain(bottom, sources)?)?)
-        }
-    }
-}
+/// Per-row lineage, present only on traced runs.
+type Lineage = Option<Vec<Monomial>>;
 
 /// Gathers the lineage of the kept rows by *moving* monomials out of the
-/// input lineage instead of cloning them — `kept` is strictly increasing
-/// (filter/drop-nulls preserve row order), so each monomial is taken at
-/// most once and the discarded ones are dropped with the input vector.
-fn gather_lineage(lineage: Vec<Monomial>, kept: &[usize]) -> Vec<Monomial> {
-    debug_assert!(kept.windows(2).all(|w| w[0] < w[1]));
-    let mut out = Vec::with_capacity(kept.len());
-    let mut kept_iter = kept.iter().peekable();
-    for (i, monomial) in lineage.into_iter().enumerate() {
-        match kept_iter.peek() {
-            Some(&&next) if next == i => {
-                out.push(monomial);
-                kept_iter.next();
+/// input lineage instead of cloning them; each kept index is taken once.
+fn gather_lineage(mut lineage: Vec<Monomial>, kept: &[usize]) -> Vec<Monomial> {
+    kept.iter()
+        .map(|&i| std::mem::take(&mut lineage[i]))
+        .collect()
+}
+
+/// The state of one plan walk.
+struct Walk<'a, 'o> {
+    view: SourceView<'a>,
+    traced: bool,
+    source_names: Vec<String>,
+    observer: Observer<'o>,
+}
+
+impl<'a> Walk<'a, '_> {
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(i) = self.source_names.iter().position(|n| n == name) {
+            i
+        } else {
+            self.source_names.push(name.to_owned());
+            self.source_names.len() - 1
+        }
+    }
+
+    /// Evaluates `node` in post-order: children first, then the operator,
+    /// its quality profile and the observer.
+    fn eval(&mut self, node: &Node) -> Result<(Cow<'a, Table>, Lineage)> {
+        // Opened before child evaluation, so operator spans nest into the
+        // plan tree. All field computation is gated on the span being live.
+        let mut span = self.traced.then(|| nde_trace::span(op_span_name(node)));
+        if let Some(span) = span.as_mut().filter(|s| s.is_active()) {
+            span.field("op", node.label());
+        }
+        let (table, lineage): (Cow<'a, Table>, Lineage) = match node {
+            Node::Source { name } => {
+                let table = self.view.get(name)?;
+                let src = self.intern(name);
+                let lineage = self.traced.then(|| {
+                    (0..table.num_rows())
+                        .map(|i| Monomial::of(ProvToken::new(src, i)))
+                        .collect()
+                });
+                (Cow::Borrowed(table), lineage)
             }
-            Some(_) => {}
-            None => break,
+            Node::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                how,
+            } => {
+                let (lt, ll) = self.eval(left)?;
+                let (rt, rl) = self.eval(right)?;
+                let jt = if *how == PlanJoin::Inner {
+                    JoinType::Inner
+                } else {
+                    JoinType::Left
+                };
+                let (out, trace) = lt.join_traced(&rt, left_key, right_key, jt)?;
+                let lineage = ll.zip(rl).map(|(ll, rl)| {
+                    trace
+                        .iter()
+                        .map(|&(li, rj)| match rj {
+                            Some(rj) => ll[li].times(&rl[rj]),
+                            None => ll[li].clone(),
+                        })
+                        .collect()
+                });
+                (Cow::Owned(out), lineage)
+            }
+            Node::FuzzyJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                max_distance,
+            } => {
+                let (lt, ll) = self.eval(left)?;
+                let (rt, rl) = self.eval(right)?;
+                let (out, trace) = lt.fuzzy_join_traced(&rt, left_key, right_key, *max_distance)?;
+                let lineage = ll.zip(rl).map(|(ll, rl)| {
+                    trace
+                        .iter()
+                        .map(|&(li, rj)| {
+                            let rj = rj.expect("fuzzy join is inner");
+                            ll[li].times(&rl[rj])
+                        })
+                        .collect()
+                });
+                (Cow::Owned(out), lineage)
+            }
+            Node::Filter { input, pred, .. } => {
+                let (t, l) = self.eval(input)?;
+                let (out, kept) = t.filter_traced(|r| pred(r))?;
+                (Cow::Owned(out), l.map(|l| gather_lineage(l, &kept)))
+            }
+            Node::WithColumn {
+                input, name, udf, ..
+            } => {
+                let (t, l) = self.eval(input)?;
+                (Cow::Owned(t.with_column(name, |r| udf(r))?), l)
+            }
+            Node::Project { input, columns } => {
+                let (t, l) = self.eval(input)?;
+                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+                (Cow::Owned(t.select(&names)?), l)
+            }
+            Node::DropNulls { input, columns } => {
+                let (t, l) = self.eval(input)?;
+                let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+                let (out, kept) = t.drop_nulls_traced(&names)?;
+                (Cow::Owned(out), l.map(|l| gather_lineage(l, &kept)))
+            }
+            Node::Concat { top, bottom } => {
+                let (tt, tl) = self.eval(top)?;
+                let (bt, bl) = self.eval(bottom)?;
+                let lineage = tl.zip(bl).map(|(mut tl, bl)| {
+                    tl.extend(bl);
+                    tl
+                });
+                (Cow::Owned(tt.concat(&bt)?), lineage)
+            }
+        };
+        if let Some(span) = span.as_mut().filter(|s| s.is_active()) {
+            span.field("rows_out", table.num_rows());
+            let lineage_tokens: usize = lineage.iter().flatten().map(|m| m.tokens().len()).sum();
+            span.field("lineage_tokens", lineage_tokens);
         }
+        record_op_profile(node, &table);
+        (self.observer)(node, &table);
+        Ok((table, lineage))
     }
-    debug_assert_eq!(out.len(), kept.len());
-    out
-}
-
-fn intern(source_names: &mut Vec<String>, name: &str) -> usize {
-    if let Some(i) = source_names.iter().position(|n| n == name) {
-        i
-    } else {
-        source_names.push(name.to_owned());
-        source_names.len() - 1
-    }
-}
-
-fn eval(
-    node: &Node,
-    sources: &Sources,
-    source_names: &mut Vec<String>,
-    observer: Observer<'_>,
-) -> Result<(Table, Vec<Monomial>)> {
-    // Opened before child evaluation, so operator spans nest into the plan
-    // tree. All field computation is gated on the span being live.
-    let mut span = nde_trace::span(op_span_name(node));
-    if span.is_active() {
-        span.field("op", node.label());
-    }
-    let result = match node {
-        Node::Source { name } => {
-            let table = sources
-                .get(name)
-                .ok_or_else(|| PipelineError::UnknownSource { name: name.clone() })?
-                .clone();
-            let src = intern(source_names, name);
-            let lineage = (0..table.num_rows())
-                .map(|i| Monomial::of(ProvToken::new(src, i)))
-                .collect();
-            (table, lineage)
-        }
-        Node::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            how,
-        } => {
-            let (lt, ll) = eval(left, sources, source_names, observer)?;
-            let (rt, rl) = eval(right, sources, source_names, observer)?;
-            let jt = if *how == PlanJoin::Inner {
-                JoinType::Inner
-            } else {
-                JoinType::Left
-            };
-            let (out, trace) = lt.join_traced(&rt, left_key, right_key, jt)?;
-            let lineage = trace
-                .iter()
-                .map(|&(li, rj)| match rj {
-                    Some(rj) => ll[li].times(&rl[rj]),
-                    None => ll[li].clone(),
-                })
-                .collect();
-            (out, lineage)
-        }
-        Node::FuzzyJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            max_distance,
-        } => {
-            let (lt, ll) = eval(left, sources, source_names, observer)?;
-            let (rt, rl) = eval(right, sources, source_names, observer)?;
-            let (out, trace) = lt.fuzzy_join_traced(&rt, left_key, right_key, *max_distance)?;
-            let lineage = trace
-                .iter()
-                .map(|&(li, rj)| {
-                    let rj = rj.expect("fuzzy join is inner");
-                    ll[li].times(&rl[rj])
-                })
-                .collect();
-            (out, lineage)
-        }
-        Node::Filter { input, pred, .. } => {
-            let (t, l) = eval(input, sources, source_names, observer)?;
-            let (out, kept) = t.filter_traced(|r| pred(r))?;
-            let lineage = gather_lineage(l, &kept);
-            (out, lineage)
-        }
-        Node::WithColumn {
-            input, name, udf, ..
-        } => {
-            let (t, l) = eval(input, sources, source_names, observer)?;
-            let out = t.with_column(name, |r| udf(r))?;
-            (out, l)
-        }
-        Node::Project { input, columns } => {
-            let (t, l) = eval(input, sources, source_names, observer)?;
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            (t.select(&names)?, l)
-        }
-        Node::DropNulls { input, columns } => {
-            let (t, l) = eval(input, sources, source_names, observer)?;
-            let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-            let (out, kept) = t.drop_nulls_traced(&names)?;
-            let lineage = gather_lineage(l, &kept);
-            (out, lineage)
-        }
-        Node::Concat { top, bottom } => {
-            let (tt, tl) = eval(top, sources, source_names, observer)?;
-            let (bt, bl) = eval(bottom, sources, source_names, observer)?;
-            let out = tt.concat(&bt)?;
-            let mut lineage = tl;
-            lineage.extend(bl);
-            (out, lineage)
-        }
-    };
-    if span.is_active() {
-        span.field("rows_out", result.0.num_rows());
-        let lineage_tokens: usize = result.1.iter().map(|m| m.tokens().len()).sum();
-        span.field("lineage_tokens", lineage_tokens);
-    }
-    record_op_profile(node, &result.0);
-    observer(node, &result.0);
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -478,5 +469,20 @@ mod tests {
         // Both output rows trace to the same source row.
         assert_eq!(traced.lineage[0], traced.lineage[1]);
         assert_eq!(traced.source_names.len(), 1);
+    }
+
+    #[test]
+    fn bare_source_returns_an_owned_copy() {
+        let srcs = demo_sources();
+        let plan = Plan::source("train_df");
+        let mut out = plan.run(&srcs).unwrap();
+        assert_eq!(out, srcs["train_df"]);
+        // Writing to the result leaves the source untouched.
+        out.set(0, "name", Value::from("zed")).unwrap();
+        assert_eq!(srcs["train_df"].get(0, "name").unwrap(), Value::from("ana"));
+        let traced = plan.run_traced(&srcs).unwrap();
+        assert_eq!(traced.table, srcs["train_df"]);
+        assert_eq!(traced.lineage.len(), 4);
+        assert_eq!(traced.lineage[3].tokens(), &[ProvToken::new(0, 3)]);
     }
 }

@@ -4,10 +4,10 @@
 //! Pillar 2 of the tutorial — **Debug ML pipelines** (§2.2 of the paper).
 //! ML preprocessing pipelines (joins, fuzzy joins, filters, projections,
 //! UDF columns, feature encoders) are expressed as logical [`plan::Plan`]s
-//! over named source tables and executed either plainly or with
-//! **fine-grained provenance**: every output row carries the exact set of
-//! source rows that produced it (a monomial in the provenance semiring of
-//! Green, Karvounarakis & Tannen 2007).
+//! over named source tables and executed by one operator walk, either
+//! plainly or with **fine-grained provenance**: every output row carries
+//! the exact set of source rows that produced it (a lineage monomial, the
+//! why-provenance of Green, Karvounarakis & Tannen 2007).
 //!
 //! On top of the traced executor, the crate provides the tools the paper
 //! demonstrates:

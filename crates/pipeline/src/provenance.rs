@@ -1,11 +1,11 @@
-//! Provenance semirings (Green, Karvounarakis & Tannen, PODS 2007).
+//! Row-level lineage: why-provenance in the sense of Green,
+//! Karvounarakis & Tannen (PODS 2007).
 //!
-//! The traced executor annotates every output row with a [`Monomial`] — a
-//! product of source-row tokens. Selections/projections keep annotations,
-//! joins multiply them, and unions add them; this module provides the
-//! general semiring machinery, the concrete instances the literature uses,
-//! and the polynomial type whose structure the executor's annotations are
-//! monomials of.
+//! The traced executor annotates every output row with a [`Monomial`] — the
+//! set of source-row tokens that produced it. Selections and projections
+//! keep a row's monomial, joins multiply the monomials of the matched rows,
+//! and concatenation keeps each side's. Deletion, insertion and Datascope
+//! attribution all read these monomials.
 
 use std::collections::HashMap;
 
@@ -26,9 +26,8 @@ impl ProvToken {
 }
 
 /// A product of tokens — the lineage of one output row through a
-/// select/project/join pipeline. Kept sorted and deduplicated, since the
-/// provenance semirings of interest here are idempotent in multiplication
-/// for set semantics (x·x = x).
+/// select/project/join pipeline. Kept sorted and deduplicated: under set
+/// semantics a row used twice is still one dependency (x·x = x).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Monomial {
     tokens: Vec<ProvToken>,
@@ -68,8 +67,7 @@ impl Monomial {
     }
 
     /// Whether every token satisfies `alive` — i.e. whether the annotated
-    /// row survives under the given source-row assignment (evaluation of
-    /// the monomial in the Boolean semiring).
+    /// row survives under the given source-row assignment.
     pub fn survives(&self, alive: &dyn Fn(ProvToken) -> bool) -> bool {
         self.tokens.iter().all(|&t| alive(t))
     }
@@ -98,151 +96,6 @@ impl Monomial {
             .collect();
         tokens.sort_unstable();
         Monomial { tokens }
-    }
-}
-
-/// A commutative semiring, the algebraic home of provenance annotations.
-pub trait Semiring {
-    /// Element type.
-    type Elem: Clone + PartialEq + std::fmt::Debug;
-
-    /// Additive identity.
-    fn zero(&self) -> Self::Elem;
-    /// Multiplicative identity.
-    fn one(&self) -> Self::Elem;
-    /// Addition (alternative derivations / union).
-    fn plus(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
-    /// Multiplication (joint derivations / join).
-    fn times(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
-}
-
-/// The Boolean semiring `({0,1}, ∨, ∧)` — set-membership provenance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BoolSemiring;
-
-impl Semiring for BoolSemiring {
-    type Elem = bool;
-
-    fn zero(&self) -> bool {
-        false
-    }
-    fn one(&self) -> bool {
-        true
-    }
-    fn plus(&self, a: &bool, b: &bool) -> bool {
-        *a || *b
-    }
-    fn times(&self, a: &bool, b: &bool) -> bool {
-        *a && *b
-    }
-}
-
-/// The counting semiring `(ℕ, +, ×)` — bag multiplicity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingSemiring;
-
-impl Semiring for CountingSemiring {
-    type Elem = u64;
-
-    fn zero(&self) -> u64 {
-        0
-    }
-    fn one(&self) -> u64 {
-        1
-    }
-    fn plus(&self, a: &u64, b: &u64) -> u64 {
-        a + b
-    }
-    fn times(&self, a: &u64, b: &u64) -> u64 {
-        a * b
-    }
-}
-
-/// The tropical semiring `(ℝ∪{∞}, min, +)` — minimal-cost derivations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TropicalSemiring;
-
-impl Semiring for TropicalSemiring {
-    type Elem = f64;
-
-    fn zero(&self) -> f64 {
-        f64::INFINITY
-    }
-    fn one(&self) -> f64 {
-        0.0
-    }
-    fn plus(&self, a: &f64, b: &f64) -> f64 {
-        a.min(*b)
-    }
-    fn times(&self, a: &f64, b: &f64) -> f64 {
-        a + b
-    }
-}
-
-/// A provenance polynomial: a sum of [`Monomial`]s — the free semiring
-/// `ℕ[X]` over tokens, specialized to set semantics (duplicate monomials
-/// collapse).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Polynomial {
-    monomials: Vec<Monomial>,
-}
-
-impl Polynomial {
-    /// The polynomial `0`.
-    pub fn zero() -> Self {
-        Polynomial::default()
-    }
-
-    /// The polynomial consisting of one monomial.
-    pub fn of(m: Monomial) -> Self {
-        Polynomial { monomials: vec![m] }
-    }
-
-    /// The monomials.
-    pub fn monomials(&self) -> &[Monomial] {
-        &self.monomials
-    }
-
-    /// Sum (union of derivations).
-    pub fn plus(&self, other: &Polynomial) -> Polynomial {
-        let mut monomials = self.monomials.clone();
-        for m in &other.monomials {
-            if !monomials.contains(m) {
-                monomials.push(m.clone());
-            }
-        }
-        Polynomial { monomials }
-    }
-
-    /// Product (cross product of derivations).
-    pub fn times(&self, other: &Polynomial) -> Polynomial {
-        let mut out = Polynomial::zero();
-        for a in &self.monomials {
-            for b in &other.monomials {
-                let m = a.times(b);
-                if !out.monomials.contains(&m) {
-                    out.monomials.push(m);
-                }
-            }
-        }
-        out
-    }
-
-    /// Evaluates the polynomial in any semiring, given a token valuation.
-    pub fn eval<S: Semiring>(
-        &self,
-        semiring: &S,
-        value_of: &dyn Fn(ProvToken) -> S::Elem,
-    ) -> S::Elem {
-        let mut acc = semiring.zero();
-        for m in &self.monomials {
-            let mut prod = semiring.one();
-            for &t in m.tokens() {
-                prod = semiring.times(&prod, &value_of(t));
-            }
-            acc = semiring.plus(&acc, &prod);
-        }
-        acc
     }
 }
 
@@ -282,52 +135,6 @@ mod tests {
         assert!(m.survives(&|_| true));
         assert!(!m.survives(&|tok| tok != t(1, 5)));
         assert!(Monomial::one().survives(&|_| false));
-    }
-
-    #[test]
-    fn polynomial_algebra() {
-        let p = Polynomial::of(Monomial::of(t(0, 0)));
-        let q = Polynomial::of(Monomial::of(t(0, 1)));
-        let sum = p.plus(&q);
-        assert_eq!(sum.monomials().len(), 2);
-        let prod = sum.times(&Polynomial::of(Monomial::of(t(1, 0))));
-        assert_eq!(prod.monomials().len(), 2);
-        for m in prod.monomials() {
-            assert!(m.contains(t(1, 0)));
-        }
-        // Idempotent addition: p + p = p.
-        assert_eq!(p.plus(&p).monomials().len(), 1);
-    }
-
-    #[test]
-    fn boolean_evaluation_matches_survival() {
-        let poly = Polynomial::of(Monomial::of(t(0, 0)).times(&Monomial::of(t(1, 0))))
-            .plus(&Polynomial::of(Monomial::of(t(0, 1))));
-        let s = BoolSemiring;
-        // First derivation dead, second alive → true.
-        let v = poly.eval(&s, &|tok| tok == t(0, 1));
-        assert!(v);
-        // All tokens dead → false.
-        assert!(!poly.eval(&s, &|_| false));
-    }
-
-    #[test]
-    fn counting_evaluation_counts_derivations() {
-        let poly =
-            Polynomial::of(Monomial::of(t(0, 0))).plus(&Polynomial::of(Monomial::of(t(0, 1))));
-        let c = CountingSemiring;
-        assert_eq!(poly.eval(&c, &|_| 1), 2);
-        assert_eq!(poly.eval(&c, &|tok| u64::from(tok == t(0, 0))), 1);
-    }
-
-    #[test]
-    fn tropical_evaluation_finds_cheapest_derivation() {
-        let poly = Polynomial::of(Monomial::of(t(0, 0)).times(&Monomial::of(t(1, 0))))
-            .plus(&Polynomial::of(Monomial::of(t(0, 1))));
-        let tr = TropicalSemiring;
-        let cost = poly.eval(&tr, &|tok| if tok == t(0, 1) { 5.0 } else { 2.0 });
-        // Derivation 1 costs 2+2 = 4, derivation 2 costs 5 → min is 4.
-        assert_eq!(cost, 4.0);
     }
 
     #[test]

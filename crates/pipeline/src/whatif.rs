@@ -4,9 +4,9 @@
 //! using the monotonicity of select/project/join plans (the incremental-
 //! view-maintenance connection the paper highlights).
 
-use crate::exec::{Sources, TracedTable};
+use crate::exec::{lookup_source, SourceView, Sources, TracedTable};
 use crate::plan::Plan;
-use crate::provenance::ProvToken;
+use crate::provenance::{Monomial, ProvToken};
 use crate::{PipelineError, Result};
 use nde_tabular::{Table, Value};
 use std::collections::HashSet;
@@ -64,18 +64,12 @@ pub fn rerun_without_rows(
     source: &str,
     rows: &[usize],
 ) -> Result<Table> {
-    let table = sources
-        .get(source)
-        .ok_or_else(|| PipelineError::UnknownSource {
-            name: source.to_owned(),
-        })?;
+    let table = lookup_source(sources, source)?;
     let remove: HashSet<usize> = rows.iter().copied().collect();
     let keep: Vec<usize> = (0..table.num_rows())
         .filter(|i| !remove.contains(i))
         .collect();
-    let mut patched = sources.clone();
-    patched.insert(source.to_owned(), table.take(&keep)?);
-    plan.run(&patched)
+    Ok(run_patched(plan, sources, source, &table.take(&keep)?, false)?.table)
 }
 
 /// Re-runs `plan` with cell repairs applied to a source table. Repairs are
@@ -86,18 +80,11 @@ pub fn rerun_with_repairs(
     source: &str,
     repairs: &[(usize, String, Value)],
 ) -> Result<Table> {
-    let table = sources
-        .get(source)
-        .ok_or_else(|| PipelineError::UnknownSource {
-            name: source.to_owned(),
-        })?;
-    let mut fixed = table.clone();
+    let mut fixed = lookup_source(sources, source)?.clone();
     for (row, column, value) in repairs {
         fixed.set(*row, column, value.clone())?;
     }
-    let mut patched = sources.clone();
-    patched.insert(source.to_owned(), fixed);
-    plan.run(&patched)
+    Ok(run_patched(plan, sources, source, &fixed, false)?.table)
 }
 
 /// Incremental **insertion** propagation — the other half of the
@@ -125,22 +112,31 @@ pub fn insert_source_rows(
             ),
         });
     }
-    let base = sources
-        .get(source)
-        .ok_or_else(|| PipelineError::UnknownSource {
-            name: source.to_owned(),
-        })?;
-    let offset = base.num_rows();
-    let mut patched = sources.clone();
-    patched.insert(source.to_owned(), new_rows.clone());
-    let mut delta = plan.run_traced(&patched)?;
+    let offset = lookup_source(sources, source)?.num_rows();
+    let mut delta = run_patched(plan, sources, source, new_rows, true)?;
     // Re-base the delta's provenance onto the grown source table.
     if let Some(src_idx) = delta.source_index(source) {
         for m in &mut delta.lineage {
-            *m = crate::provenance::Monomial::rebase(m, src_idx, offset);
+            *m = Monomial::rebase(m, src_idx, offset);
         }
     }
     Ok(delta)
+}
+
+/// Runs `plan` with source `source` replaced by `table`; every other
+/// source is read from `sources` in place.
+fn run_patched(
+    plan: &Plan,
+    sources: &Sources,
+    source: &str,
+    table: &Table,
+    traced: bool,
+) -> Result<TracedTable> {
+    let view = SourceView {
+        sources,
+        patch: Some((source, table)),
+    };
+    plan.execute(view, traced, &mut |_, _| {})
 }
 
 fn count_source_occurrences(plan: &Plan, source: &str) -> usize {

@@ -4,8 +4,10 @@
 //! them rely on.
 
 use nde_pipeline::exec::sources;
-use nde_pipeline::whatif::{delete_source_rows, rerun_without_rows};
-use nde_pipeline::Plan;
+use nde_pipeline::whatif::{
+    delete_source_rows, insert_source_rows, rerun_with_repairs, rerun_without_rows,
+};
+use nde_pipeline::{Plan, ProvToken};
 use nde_tabular::{Table, Value};
 use proptest::prelude::*;
 
@@ -155,5 +157,69 @@ proptest! {
                 prop_assert!(traced.lineage[out].rows_of_source(src).any(|r| r == row));
             }
         }
+    }
+
+    /// The what-if re-runs read the patched source in place. Each must
+    /// equal the obvious implementation, a run over a cloned map with the
+    /// source replaced, and leave the caller's map untouched.
+    #[test]
+    fn patched_view_equals_cloned_map(
+        table in arb_table(),
+        ops in arb_ops(),
+        with_join in any::<bool>(),
+        patch_side in any::<bool>(),
+        delete_mask in prop::collection::vec(any::<bool>(), 30),
+        repair_row in 0usize..30,
+        repair_key in 0i64..10,
+        new_rows in arb_table(),
+    ) {
+        let plan = build_plan(&ops, with_join);
+        let srcs = sources(vec![("t", table), ("side", side_table())]);
+        let snapshot = srcs.clone();
+        let replaced = |name: &str, with: Table| {
+            let mut cloned = srcs.clone();
+            cloned.insert(name.to_owned(), with);
+            cloned
+        };
+        let name = if patch_side { "side" } else { "t" };
+        let n = srcs[name].num_rows();
+
+        let deletions: Vec<usize> =
+            (0..n).filter(|&i| delete_mask.get(i).copied().unwrap_or(false)).collect();
+        let keep: Vec<usize> = (0..n).filter(|i| !deletions.contains(i)).collect();
+        let expected = plan.run(&replaced(name, srcs[name].take(&keep).unwrap())).unwrap();
+        let got = rerun_without_rows(&plan, &srcs, name, &deletions).unwrap();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&srcs, &snapshot);
+
+        let repairs = vec![(repair_row % n, "k".to_owned(), Value::Int(repair_key))];
+        let mut fixed = srcs[name].clone();
+        fixed.set(repair_row % n, "k", Value::Int(repair_key)).unwrap();
+        let expected = plan.run(&replaced(name, fixed)).unwrap();
+        let got = rerun_with_repairs(&plan, &srcs, name, &repairs).unwrap();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&srcs, &snapshot);
+
+        // `t` appears exactly once in every generated plan.
+        let offset = srcs["t"].num_rows();
+        let expected = plan.run_traced(&replaced("t", new_rows.clone())).unwrap();
+        let got = insert_source_rows(&plan, &srcs, "t", &new_rows).unwrap();
+        prop_assert_eq!(&got.table, &expected.table);
+        prop_assert_eq!(&got.source_names, &expected.source_names);
+        prop_assert_eq!(got.lineage.len(), expected.lineage.len());
+        let t_idx = expected.source_index("t").unwrap();
+        for (g, e) in got.lineage.iter().zip(&expected.lineage) {
+            let mut rebased: Vec<ProvToken> = e
+                .tokens()
+                .iter()
+                .map(|tok| {
+                    let shift = if tok.source == t_idx { offset } else { 0 };
+                    ProvToken::new(tok.source, tok.row + shift)
+                })
+                .collect();
+            rebased.sort_unstable();
+            prop_assert_eq!(g.tokens(), &rebased[..]);
+        }
+        prop_assert_eq!(&srcs, &snapshot);
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! 1. **Row identity & lineage.** Every operator has a `*_traced` variant
 //!    that reports which input rows produced each output row. The
-//!    `nde-pipeline` crate composes these traces into provenance-semiring
-//!    annotations, which is what makes source-level data debugging
+//!    `nde-pipeline` crate composes these traces into per-row lineage
+//!    monomials, which is what makes source-level data debugging
 //!    (Datascope, mlinspect, ArgusEyes) possible.
 //! 2. **Columnar storage.** Each column is a typed vector with explicit
 //!    nullability, so scans, filters and encoders touch contiguous memory.

@@ -3,7 +3,7 @@
 //! Every operator that changes the row set has a `*_traced` variant that
 //! additionally reports, for each output row, which input row(s) produced
 //! it. These traces are the raw material from which `nde-pipeline` builds
-//! provenance-semiring annotations.
+//! per-row lineage monomials.
 
 pub mod aggregate;
 pub mod concat;

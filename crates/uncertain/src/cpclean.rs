@@ -85,34 +85,22 @@ fn k_smallest_keys(
     heap.into_sorted_vec().into_iter().map(|Key(t)| t).collect()
 }
 
-/// Vote of label `target` in the adversarial world that *minimizes* its
-/// count: supporters of `target` sit at their max distance, everyone else
-/// at their min distance; ties sorted against `target`.
-fn min_votes_for(data: &IncompleteDataset, query: &[f64], k: usize, target: usize) -> usize {
+/// Vote of label `target` in the adversarial world that maximizes its
+/// count (`favour`) or minimizes it (`!favour`). The adversary pulls one
+/// side to its min distance, winning ties (tie key 0), and pushes the
+/// other to its max distance, losing ties (tie key 1): supporters of
+/// `target` are pulled when favoured, everyone else when not.
+fn adversarial_votes(
+    data: &IncompleteDataset,
+    query: &[f64],
+    k: usize,
+    target: usize,
+    favour: bool,
+) -> usize {
     let n = data.x.nrows();
     let keyed = (0..n).map(|i| {
         let d = distance_bounds(data.x.row(i), query);
-        if data.y[i] == target {
-            // Supporter pushed away; loses ties (sort key 1).
-            (d.hi, 1u8, i)
-        } else {
-            (d.lo, 0u8, i)
-        }
-    });
-    k_smallest_keys(keyed, k.min(n))
-        .iter()
-        .filter(|&&(_, _, i)| data.y[i] == target)
-        .count()
-}
-
-/// Vote of label `target` in the adversarial world that *maximizes* its
-/// count.
-fn max_votes_for(data: &IncompleteDataset, query: &[f64], k: usize, target: usize) -> usize {
-    let n = data.x.nrows();
-    let keyed = (0..n).map(|i| {
-        let d = distance_bounds(data.x.row(i), query);
-        if data.y[i] == target {
-            // Supporter pulled close; wins ties (sort key 0).
+        if (data.y[i] == target) == favour {
             (d.lo, 0u8, i)
         } else {
             (d.hi, 1u8, i)
@@ -131,7 +119,7 @@ pub fn possible_labels(data: &IncompleteDataset, query: &[f64], k: usize) -> Vec
     let k = k.max(1);
     (0..data.n_classes)
         .filter(|&label| {
-            let optimistic = max_votes_for(data, query, k, label);
+            let optimistic = adversarial_votes(data, query, k, label, true);
             // The label can win when, in its best world, it reaches at least
             // half of the k votes (majority or tie).
             2 * optimistic >= k.min(data.x.nrows())
@@ -161,7 +149,7 @@ pub fn possible_labels(data: &IncompleteDataset, query: &[f64], k: usize) -> Vec
 /// ```
 pub fn certain_prediction(data: &IncompleteDataset, query: &[f64], k: usize) -> Option<usize> {
     let k = k.max(1).min(data.x.nrows().max(1));
-    (0..data.n_classes).find(|&label| 2 * min_votes_for(data, query, k, label) > k)
+    (0..data.n_classes).find(|&label| 2 * adversarial_votes(data, query, k, label, false) > k)
 }
 
 /// Fraction of `queries` whose prediction is certain — the headline metric
@@ -215,14 +203,7 @@ pub fn min_cleaning_greedy(
                 .total_cmp(&distance_bounds(working.x.row(b), query).width())
                 .then(b.cmp(&a))
         })?;
-        for j in 0..working.x.ncols() {
-            let iv = working.x.get(candidate, j);
-            if iv.width() > 0.0 {
-                working
-                    .x
-                    .set_missing(candidate, j, Interval::point(truth.get(candidate, j)));
-            }
-        }
+        clean_row(&mut working, truth, candidate);
         cleaned += 1;
     }
 }

@@ -168,11 +168,9 @@ pub fn train_symbolic_uncertain_labels(
         .flat_map(|i| (0..d).map(move |j| (i, j)))
         .map(|(i, j)| {
             let iv = x.get(i, j);
-            if iv.width() > 0.0 && cfg.domain == Domain::Zonotope {
-                AffineForm::from_interval(iv, &pool)
-            } else if iv.width() > 0.0 {
-                // Interval mode models the cell as an independent symbol at
-                // every *use*, implemented by re-widening below.
+            // Both domains share the cell's symbol here; interval mode
+            // decorrelates its uses in `mul_domain`.
+            if iv.width() > 0.0 {
                 AffineForm::from_interval(iv, &pool)
             } else {
                 AffineForm::constant(iv.mid())

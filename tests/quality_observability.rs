@@ -4,12 +4,25 @@
 //! live — emit parseable `{"type":"profile"}` records alongside spans.
 //! With profiling off (the default), nothing may be recorded at all.
 //! This test binary is its own process, so the mode and sink overrides
-//! do not leak into other suites.
+//! do not leak into other suites; within it, tests that set them hold
+//! [`GLOBAL_MODES`].
 
-use navigating_data_errors::core::pipeline_scenario::{figure3_plan, pipeline_sources};
+use navigating_data_errors::core::pipeline_scenario::{
+    figure3_plan, figure3_plan_fuzzy, pipeline_sources,
+};
 use navigating_data_errors::datagen::{HiringConfig, HiringScenario};
+use navigating_data_errors::pipeline::inspect::inspect;
 use nde_quality::{QualityMode, TableProfile};
 use nde_trace::json::JsonValue;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests that set the process-wide quality mode and trace
+/// sink.
+static GLOBAL_MODES: Mutex<()> = Mutex::new(());
+
+fn lock_global_modes() -> MutexGuard<'static, ()> {
+    GLOBAL_MODES.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn run_figure3(scenario: &HiringScenario) -> navigating_data_errors::tabular::Table {
     let srcs = pipeline_sources(scenario, scenario.train.clone());
@@ -18,6 +31,7 @@ fn run_figure3(scenario: &HiringScenario) -> navigating_data_errors::tabular::Ta
 
 #[test]
 fn profiling_is_observational_and_emits_parseable_records() {
+    let _modes = lock_global_modes();
     let mut path = std::env::temp_dir();
     path.push(format!("nde_quality_obs_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -134,6 +148,108 @@ fn profiling_is_observational_and_emits_parseable_records() {
         .any(|s| s.get("fields").and_then(|f| f.get("op")).is_some()));
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Plain, traced and inspected runs share one operator walk: profiling
+/// sees the same boundaries in the same order either way, and only the
+/// traced run opens per-operator spans.
+#[test]
+fn plain_traced_and_inspected_runs_observe_the_same_walk() {
+    let _modes = lock_global_modes();
+    let scenario = HiringScenario::generate(&HiringConfig {
+        n_train: 120,
+        n_valid: 40,
+        n_test: 40,
+        ..Default::default()
+    });
+    let srcs = pipeline_sources(&scenario, scenario.train.clone());
+    let plan = figure3_plan_fuzzy();
+
+    // Profiles per operator boundary, with the trace sink off (so no
+    // counters move).
+    nde_trace::configure(nde_trace::Sink::Off, None);
+    nde_quality::configure_quality(QualityMode::Full);
+    let plain = plan.run(&srcs).expect("plain run");
+    let plain_profiles = nde_quality::take_profiles();
+    let traced = plan.run_traced(&srcs).expect("traced run");
+    let traced_profiles = nde_quality::take_profiles();
+    nde_quality::configure_quality(QualityMode::Off);
+    assert_eq!(plain, traced.table);
+    let labels = |ops: &[nde_quality::OpProfile]| -> Vec<String> {
+        ops.iter().map(|o| o.op.clone()).collect()
+    };
+    assert_eq!(
+        plain_profiles.len(),
+        9,
+        "four sources, two joins, a filter, a UDF column and a fuzzy join"
+    );
+    assert_eq!(labels(&plain_profiles), labels(&traced_profiles));
+    for (p, t) in plain_profiles.iter().zip(&traced_profiles) {
+        assert_eq!(
+            p.profile.to_json(),
+            t.profile.to_json(),
+            "profile of {}",
+            p.op
+        );
+    }
+
+    // Operator spans, one trace file per call.
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("nde_one_walk_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace_of = |name: &str, call: &dyn Fn()| -> Vec<JsonValue> {
+        let path = dir.join(format!("{name}.jsonl"));
+        let _ = std::fs::remove_file(&path);
+        nde_trace::configure(nde_trace::Sink::Json, Some(&path));
+        call();
+        nde_trace::configure(nde_trace::Sink::Off, None); // flush + close
+        let contents = std::fs::read_to_string(&path).expect("trace file written");
+        contents
+            .lines()
+            .map(|line| nde_trace::json::parse(line).expect("parseable trace line"))
+            .collect()
+    };
+    // The `op` fields of the `pipeline.<operator>` spans, in record order.
+    let operator_spans = |records: &[JsonValue]| -> Vec<String> {
+        records
+            .iter()
+            .filter(|r| r.get("type").and_then(JsonValue::as_str) == Some("span"))
+            .filter(|r| {
+                let name = r.get("name").and_then(JsonValue::as_str).unwrap_or("");
+                name.starts_with("pipeline.")
+                    && name != "pipeline.run"
+                    && name != "pipeline.run_traced"
+            })
+            .map(|r| {
+                let op = r.get("fields").and_then(|f| f.get("op"));
+                op.and_then(JsonValue::as_str).unwrap_or("").to_owned()
+            })
+            .collect()
+    };
+    let run_trace = trace_of("run", &|| {
+        plan.run(&srcs).expect("plain run");
+    });
+    let traced_trace = trace_of("run_traced", &|| {
+        plan.run_traced(&srcs).expect("traced run");
+    });
+    let inspect_trace = trace_of("inspect", &|| {
+        inspect(&plan, &srcs, &["sector"], 1.0).expect("inspection");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        operator_spans(&run_trace).is_empty(),
+        "run opens no operator spans"
+    );
+    assert_eq!(
+        operator_spans(&traced_trace),
+        labels(&plain_profiles),
+        "run_traced opens one span per operator, in post-order"
+    );
+    assert!(
+        operator_spans(&inspect_trace).is_empty(),
+        "inspect opens no operator spans"
+    );
 }
 
 /// The lossless snapshot serialization (`TableProfile::to_json`) round
