@@ -196,6 +196,26 @@ fn bench_zorro(c: &mut Criterion) {
     group.bench_function("n100_10missing_10epochs", |b| {
         b.iter(|| train_symbolic(&im, &y, &cfg))
     });
+
+    // The `learn` workload's shape: 800 rows, two features, 5 % of the
+    // first one missing over its whole [0, 1] range.
+    let rows: Vec<Vec<f64>> = (0..800)
+        .map(|i| {
+            vec![
+                ((i * 37) % 101) as f64 / 100.0,
+                ((i * 13) % 47) as f64 / 46.0,
+            ]
+        })
+        .collect();
+    let x = Matrix::from_rows(&rows).unwrap();
+    let y: Vec<f64> = rows.iter().map(|r| 0.8 * r[0] - 0.3 * r[1] + 0.1).collect();
+    let mut im = IncompleteMatrix::from_exact(&x);
+    for i in (0..800).step_by(20) {
+        im.set_missing(i, 0, Interval::new(0.0, 1.0));
+    }
+    group.bench_function("n800_d2_5pct_10epochs", |b| {
+        b.iter(|| train_symbolic(&im, &y, &cfg))
+    });
     group.finish();
 }
 

@@ -93,6 +93,12 @@ impl Utility for ModelUtility<'_> {
 /// cache. Subsets are normalized (sorted) before lookup, and the cache is
 /// behind a mutex so the wrapper stays `Sync` for the multi-threaded
 /// estimators.
+///
+/// The lookup and the insert take the lock separately, so two workers can
+/// both miss on one coalition and both evaluate it. Only the insert that
+/// finds the slot vacant counts as a miss; the other counts as a hit and
+/// returns the stored value. `misses` is therefore the number of distinct
+/// coalitions evaluated.
 pub struct CachedUtility<'a> {
     inner: &'a dyn Utility,
     cache: std::sync::Mutex<std::collections::HashMap<Vec<usize>, f64>>,
@@ -111,7 +117,8 @@ impl<'a> CachedUtility<'a> {
         }
     }
 
-    /// `(cache hits, cache misses)` so far.
+    /// `(cache hits, cache misses)` so far; misses count distinct
+    /// coalitions.
     pub fn stats(&self) -> (usize, usize) {
         (
             self.hits.load(std::sync::atomic::Ordering::Relaxed),
@@ -133,10 +140,17 @@ impl Utility for CachedUtility<'_> {
             return v;
         }
         let v = self.inner.eval(&key);
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.cache.lock().expect("cache poisoned").insert(key, v);
-        v
+        match self.cache.lock().expect("cache poisoned").entry(key) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                self.misses
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                *slot.insert(v)
+            }
+            std::collections::hash_map::Entry::Occupied(stored) => {
+                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                *stored.get()
+            }
+        }
     }
 }
 
@@ -242,6 +256,50 @@ mod tests {
         let (hits, misses) = cached.stats();
         assert_eq!(hits, 1);
         assert_eq!(misses, 2);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_coalition_count_once() {
+        use std::sync::Barrier;
+
+        /// Holds every evaluation until both workers are inside one, so
+        /// both miss on each new coalition before either stores it.
+        struct Lockstep {
+            barrier: Barrier,
+        }
+
+        impl Utility for Lockstep {
+            fn n(&self) -> usize {
+                3
+            }
+
+            fn eval(&self, subset: &[usize]) -> f64 {
+                self.barrier.wait();
+                subset.iter().map(|&i| i as f64).sum()
+            }
+        }
+
+        let base = Lockstep {
+            barrier: Barrier::new(2),
+        };
+        let cached = CachedUtility::new(&base);
+        // Three distinct coalitions once sorted; both workers walk the
+        // list in the same order.
+        let subsets: [&[usize]; 5] = [&[0, 1], &[1, 0], &[2], &[0, 1, 2], &[2]];
+        let values: Vec<Vec<f64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| subsets.map(|s| cached.eval(s)).to_vec()))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        assert_eq!(values[0], vec![1.0, 1.0, 2.0, 3.0, 2.0]);
+        assert_eq!(values[0], values[1]);
+        let (hits, misses) = cached.stats();
+        assert_eq!(misses, 3);
+        assert_eq!(hits + misses, 2 * subsets.len());
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl SymbolicLinear {
     pub fn prediction_range(&self, x: &[f64]) -> Interval {
         let mut acc = self.intercept.clone();
         for (w, &xi) in self.weights.iter().zip(x) {
-            acc = acc.add(&w.scale(xi));
+            acc.add_scaled(w, xi);
         }
         acc.to_interval()
     }
@@ -127,6 +127,10 @@ impl SymbolicLinear {
 /// the model produced by concrete full-batch gradient descent on `(X*, y)`
 /// with the same hyperparameters (see [`train_concrete`]).
 ///
+/// # Panics
+///
+/// If `y` does not hold exactly one label per row of `x`.
+///
 /// ```
 /// use nde_learners::Matrix;
 /// use nde_uncertain::incomplete::IncompleteMatrix;
@@ -156,13 +160,18 @@ pub fn train_symbolic(x: &IncompleteMatrix, y: &[f64], cfg: &ZorroConfig) -> Sym
 /// interval, and the symbolic weights cover the GD outcome of every such
 /// world (each uncertain label gets its own shared noise symbol, so its
 /// appearances across epochs stay correlated).
+///
+/// # Panics
+///
+/// If `y` does not hold exactly one label per row of `x`.
 pub fn train_symbolic_uncertain_labels(
     x: &IncompleteMatrix,
     y: &[Interval],
     cfg: &ZorroConfig,
 ) -> SymbolicLinear {
-    let pool = SymbolPool::new();
     let (n, d) = (x.nrows(), x.ncols());
+    assert_label_count(y.len(), n);
+    let pool = SymbolPool::new();
     // One shared symbol per missing cell, fixed across all epochs.
     let cells: Vec<AffineForm> = (0..n)
         .flat_map(|i| (0..d).map(move |j| (i, j)))
@@ -195,31 +204,36 @@ pub fn train_symbolic_uncertain_labels(
     let mut b = AffineForm::constant(0.0);
     let inv_n = 1.0 / n.max(1) as f64;
     let lr = cfg.learning_rate;
+    // Per-row buffers, reused for the whole run.
+    let mut err = AffineForm::default();
+    let mut product = AffineForm::default();
 
     for _ in 0..cfg.epochs {
         let mut grad_w: Vec<AffineForm> = vec![AffineForm::constant(0.0); d];
         let mut grad_b = AffineForm::constant(0.0);
-        for (i, yi) in y_forms.iter().enumerate().take(n) {
+        for (i, yi) in y_forms.iter().enumerate() {
             // err_i = w·x_i + b − y_i
-            let mut err = b.clone();
+            err.clone_from(&b);
             for (j, wj) in w.iter().enumerate() {
-                err = err.add(&mul_domain(wj, cell(i, j), &pool, cfg.domain));
+                mul_domain(wj, cell(i, j), &pool, cfg.domain, &mut product);
+                err += &product;
             }
-            err = err.sub(yi);
+            err -= yi;
             for (j, gj) in grad_w.iter_mut().enumerate() {
-                *gj = gj.add(&mul_domain(&err, cell(i, j), &pool, cfg.domain));
+                mul_domain(&err, cell(i, j), &pool, cfg.domain, &mut product);
+                *gj += &product;
             }
-            grad_b = grad_b.add(&err);
+            grad_b += &err;
         }
-        for j in 0..d {
-            w[j] = w[j]
-                .scale(1.0 - lr * cfg.l2)
-                .sub(&grad_w[j].scale(lr * inv_n))
-                .condense(cfg.max_symbols, &pool);
+        for (wj, gj) in w.iter_mut().zip(&mut grad_w) {
+            *wj *= 1.0 - lr * cfg.l2;
+            *gj *= lr * inv_n;
+            *wj -= gj;
+            *wj = wj.condense(cfg.max_symbols, &pool);
         }
-        b = b
-            .sub(&grad_b.scale(lr * inv_n))
-            .condense(cfg.max_symbols, &pool);
+        grad_b *= lr * inv_n;
+        b -= &grad_b;
+        b = b.condense(cfg.max_symbols, &pool);
     }
     SymbolicLinear {
         weights: w,
@@ -227,31 +241,51 @@ pub fn train_symbolic_uncertain_labels(
     }
 }
 
-/// Domain-dependent multiplication: zonotopes use correlated affine
-/// multiplication; interval mode collapses both operands to their ranges
-/// (decorrelating them) and re-wraps — the baseline Zorro improves on.
-fn mul_domain(a: &AffineForm, b: &AffineForm, pool: &SymbolPool, domain: Domain) -> AffineForm {
+/// Domain-dependent multiplication into `out`: zonotopes use correlated
+/// affine multiplication; interval mode collapses both operands to their
+/// ranges (decorrelating them) and re-wraps — the baseline Zorro improves on.
+fn mul_domain(
+    a: &AffineForm,
+    b: &AffineForm,
+    pool: &SymbolPool,
+    domain: Domain,
+    out: &mut AffineForm,
+) {
     match domain {
-        Domain::Zonotope => a.mul(b, pool),
+        Domain::Zonotope => AffineForm::mul_into(a, b, pool, out),
         Domain::Interval => {
             let product = a.to_interval() * b.to_interval();
-            AffineForm::from_interval(product, pool)
+            *out = AffineForm::from_interval(product, pool);
         }
     }
+}
+
+/// Both trainers divide the gradient by the row count, so a short label
+/// vector would silently train on a prefix with the wrong step size.
+fn assert_label_count(labels: usize, rows: usize) {
+    assert_eq!(
+        labels, rows,
+        "one label per training row expected: {labels} labels for {rows} rows"
+    );
 }
 
 /// The concrete reference: full-batch GD with the hyperparameters of `cfg`
 /// on a fully known matrix. `train_symbolic` over-approximates this run
 /// for every possible world.
+///
+/// # Panics
+///
+/// If `y` does not hold exactly one label per row of `x`.
 pub fn train_concrete(x: &Matrix, y: &[f64], cfg: &ZorroConfig) -> (Vec<f64>, f64) {
     let (n, d) = (x.nrows(), x.ncols());
+    assert_label_count(y.len(), n);
     let mut w = vec![0.0f64; d];
     let mut b = 0.0f64;
     let inv_n = 1.0 / n.max(1) as f64;
     for _ in 0..cfg.epochs {
         let mut grad_w = vec![0.0f64; d];
         let mut grad_b = 0.0f64;
-        for (i, &yi) in y.iter().enumerate().take(n) {
+        for (i, &yi) in y.iter().enumerate() {
             let xi = x.row(i);
             let err = w.iter().zip(xi).map(|(wj, &xj)| wj * xj).sum::<f64>() + b - yi;
             for (g, &xj) in grad_w.iter_mut().zip(xi) {
@@ -478,6 +512,28 @@ mod tests {
             assert!(model.weights[j].to_interval().contains(wj));
         }
         assert!(model.intercept.to_interval().contains(b));
+    }
+
+    #[test]
+    #[should_panic(expected = "one label per training row expected: 11 labels for 12 rows")]
+    fn symbolic_training_rejects_short_labels() {
+        let (im, y) = incomplete_problem();
+        train_symbolic(&im, &y[..11], &cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "one label per training row expected: 13 labels for 12 rows")]
+    fn uncertain_label_training_rejects_long_labels() {
+        let (im, _) = incomplete_problem();
+        let y = vec![Interval::new(0.0, 1.0); 13];
+        train_symbolic_uncertain_labels(&im, &y, &cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "one label per training row expected: 11 labels for 12 rows")]
+    fn concrete_training_rejects_short_labels() {
+        let (im, y) = incomplete_problem();
+        train_concrete(&im.midpoint_world(), &y[..11], &cfg());
     }
 
     #[test]

@@ -48,8 +48,8 @@ proptest! {
         // expr = (x + y)·x − c·y + x  (reuses x and y across terms)
         let expr = x.add(&y).mul(&x, &pool).sub(&y.scale(c)).add(&x);
         // Concrete evaluation with the same symbol valuation everywhere.
-        let symbol_of_x = x.terms.keys().next().copied();
-        let symbol_of_y = y.terms.keys().next().copied();
+        let symbol_of_x = x.terms().first().map(|&(s, _)| s);
+        let symbol_of_y = y.terms().first().map(|&(s, _)| s);
         let eps = |s: usize| -> f64 {
             if Some(s) == symbol_of_x {
                 e1
