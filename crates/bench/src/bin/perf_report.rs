@@ -18,8 +18,8 @@
 //! system temp dir) and are left on disk so CI can upload them as
 //! artifacts when the gate fails. See docs/OBSERVABILITY.md.
 
-use nde_bench::brute_knn_predict;
 use nde_bench::perf::{self, DiffThresholds, Snapshot};
+use nde_bench::{brute_knn_predict, load_snapshot, Args};
 use nde_core::cleaning::iterative_cleaning_cached;
 use nde_core::pipeline_scenario::{
     datascope_for_train_source, figure3_plan, pipeline_sources, run_figure3,
@@ -215,11 +215,6 @@ fn run_suite(label: &str) -> Snapshot {
     }
 }
 
-fn load_snapshot(path: &str) -> Result<Snapshot, String> {
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Snapshot::from_json(&contents).map_err(|e| format!("{path}: {e}"))
-}
-
 fn thresholds_from(args: &Args) -> DiffThresholds {
     let mut t = DiffThresholds::default();
     if let Some(v) = args.get("--time-tol") {
@@ -229,23 +224,6 @@ fn thresholds_from(args: &Args) -> DiffThresholds {
         t.counter_ratio = v.parse().expect("--counter-tol takes a float fraction");
     }
     t
-}
-
-/// Minimal `--flag value` argument map (no external parser available).
-struct Args(Vec<String>);
-
-impl Args {
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|a| a == flag)
-    }
 }
 
 fn analyze_mode(args: &Args) -> ExitCode {
@@ -311,19 +289,21 @@ fn analyze_mode(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = Args(std::env::args().skip(1).collect());
+    let args = Args::from_env();
 
     if args.has("--analyze") {
         return analyze_mode(&args);
     }
 
     if args.has("--diff") {
-        let pos = args.0.iter().position(|a| a == "--diff").unwrap();
-        let (Some(a), Some(b)) = (args.0.get(pos + 1), args.0.get(pos + 2)) else {
+        let Some((a, b)) = args.two("--diff") else {
             eprintln!("usage: perf_report --diff BASE.json NEW.json");
             return ExitCode::FAILURE;
         };
-        let (base, new) = match (load_snapshot(a), load_snapshot(b)) {
+        let (base, new) = match (
+            load_snapshot(a, Snapshot::from_json),
+            load_snapshot(b, Snapshot::from_json),
+        ) {
             (Ok(base), Ok(new)) => (base, new),
             (Err(e), _) | (_, Err(e)) => {
                 eprintln!("perf_report: {e}");
@@ -340,7 +320,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(baseline_path) = args.get("--check") {
-        let base = match load_snapshot(baseline_path) {
+        let base = match load_snapshot(baseline_path, Snapshot::from_json) {
             Ok(base) => base,
             Err(e) => {
                 eprintln!("perf_report: {e}");

@@ -22,6 +22,7 @@
 //! pipeline or the profiler. See docs/OBSERVABILITY.md.
 
 use nde_bench::quality::{check_snapshots, ProfileSnapshot};
+use nde_bench::{load_snapshot, Args};
 use nde_core::pipeline_scenario::{figure3_plan, pipeline_sources};
 use nde_datagen::errors::{flip_labels, inject_missing, inject_shift, Mechanism};
 use nde_datagen::{HiringConfig, HiringScenario};
@@ -67,28 +68,6 @@ fn run_suite(label: &str) -> ProfileSnapshot {
         scenario.train.num_rows()
     );
     ProfileSnapshot::from_run(label, ops)
-}
-
-fn load_snapshot(path: &str) -> Result<ProfileSnapshot, String> {
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    ProfileSnapshot::from_json(&contents).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Minimal `--flag value` argument map (no external parser available).
-struct Args(Vec<String>);
-
-impl Args {
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|a| a == flag)
-    }
 }
 
 /// The final operator's profile — the pipeline output the experiment
@@ -222,19 +201,21 @@ fn experiment_mode() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = Args(std::env::args().skip(1).collect());
+    let args = Args::from_env();
 
     if args.has("--experiment") {
         return experiment_mode();
     }
 
     if args.has("--diff") {
-        let pos = args.0.iter().position(|a| a == "--diff").unwrap();
-        let (Some(a), Some(b)) = (args.0.get(pos + 1), args.0.get(pos + 2)) else {
+        let Some((a, b)) = args.two("--diff") else {
             eprintln!("usage: quality_report --diff BASE.json NEW.json");
             return ExitCode::FAILURE;
         };
-        let (base, new) = match (load_snapshot(a), load_snapshot(b)) {
+        let (base, new) = match (
+            load_snapshot(a, ProfileSnapshot::from_json),
+            load_snapshot(b, ProfileSnapshot::from_json),
+        ) {
             (Ok(base), Ok(new)) => (base, new),
             (Err(e), _) | (_, Err(e)) => {
                 eprintln!("quality_report: {e}");
@@ -251,7 +232,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(baseline_path) = args.get("--check") {
-        let base = match load_snapshot(baseline_path) {
+        let base = match load_snapshot(baseline_path, ProfileSnapshot::from_json) {
             Ok(base) => base,
             Err(e) => {
                 eprintln!("quality_report: {e}");

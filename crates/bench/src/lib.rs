@@ -98,6 +98,47 @@ pub fn iteration_boundary() {
     nde_trace::reset();
 }
 
+/// Minimal `--flag value` argument map for the report binaries (no
+/// external parser available).
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// The process arguments after the program name.
+    pub fn from_env() -> Self {
+        Args(std::env::args().skip(1).collect())
+    }
+
+    /// The value following `flag`, if any.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.nth_after(flag, 1)
+    }
+
+    /// The two values following `flag` (as in `--diff A B`), if present.
+    pub fn two(&self, flag: &str) -> Option<(&str, &str)> {
+        Some((self.nth_after(flag, 1)?, self.nth_after(flag, 2)?))
+    }
+
+    /// Whether `flag` is present.
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|a| a == flag)
+    }
+
+    fn nth_after(&self, flag: &str, n: usize) -> Option<&str> {
+        let pos = self.0.iter().position(|a| a == flag)?;
+        self.0.get(pos + n).map(String::as_str)
+    }
+}
+
+/// Reads the snapshot file at `path` and parses it with `parse`; errors
+/// name the path.
+pub fn load_snapshot<T>(
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&contents).map_err(|e| format!("{path}: {e}"))
+}
+
 /// Brute-force k-NN predictions for the rows of `x`: each row's `k`
 /// nearest training rows by a full [`k_nearest`] scan, then the model's
 /// uniform [`vote`]. This is the oracle the k-d-tree-backed

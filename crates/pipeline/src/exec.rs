@@ -1,13 +1,13 @@
-//! Plan execution: one operator walk over borrowed sources. A plain run
+//! Plan execution: one operator walk over the source tables. A plain run
 //! and a traced run do the same operator work; the traced run also
 //! carries one provenance [`Monomial`] per row and opens a span per
-//! operator.
+//! operator. Tables share their column buffers, so reading a source,
+//! projecting it or adding a column copies no cells.
 
 use crate::plan::{Node, Plan, PlanJoin};
 use crate::provenance::{Monomial, ProvToken};
 use crate::{PipelineError, Result};
 use nde_tabular::{JoinType, Table};
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Named source tables a plan executes over.
@@ -63,43 +63,15 @@ pub(crate) fn lookup_source<'a>(sources: &'a Sources, name: &str) -> Result<&'a 
         })
 }
 
-/// The sources a walk reads: the caller's map, with at most one table
-/// substituted. What-if re-runs patch one source this way instead of
-/// copying the map.
-#[derive(Clone, Copy)]
-pub(crate) struct SourceView<'a> {
-    pub(crate) sources: &'a Sources,
-    pub(crate) patch: Option<(&'a str, &'a Table)>,
-}
-
-impl<'a> SourceView<'a> {
-    /// A view of `sources` with nothing substituted.
-    pub(crate) fn new(sources: &'a Sources) -> Self {
-        SourceView {
-            sources,
-            patch: None,
-        }
-    }
-
-    fn get(&self, name: &str) -> Result<&'a Table> {
-        match self.patch {
-            Some((patched, table)) if patched == name => Ok(table),
-            _ => lookup_source(self.sources, name),
-        }
-    }
-}
-
 impl Plan {
     /// Executes the plan over `sources` without provenance bookkeeping.
     pub fn run(&self, sources: &Sources) -> Result<Table> {
-        Ok(self
-            .execute(SourceView::new(sources), false, &mut |_, _| {})?
-            .table)
+        Ok(self.execute(sources, false, &mut |_, _| {})?.table)
     }
 
     /// Executes the plan, annotating every output row with its provenance.
     pub fn run_traced(&self, sources: &Sources) -> Result<TracedTable> {
-        self.execute(SourceView::new(sources), true, &mut |_, _| {})
+        self.execute(sources, true, &mut |_, _| {})
     }
 
     /// The one execution path. `traced` adds lineage and per-operator
@@ -107,7 +79,7 @@ impl Plan {
     /// `lineage` of an untraced result is empty.
     pub(crate) fn execute(
         &self,
-        view: SourceView<'_>,
+        sources: &Sources,
         traced: bool,
         observer: Observer<'_>,
     ) -> Result<TracedTable> {
@@ -117,14 +89,12 @@ impl Plan {
             "pipeline.run"
         });
         let mut walk = Walk {
-            view,
+            sources,
             traced,
             source_names: Vec::new(),
             observer,
         };
         let (table, lineage) = walk.eval(&self.node)?;
-        // The only copy of a source: a plan that is a bare source.
-        let table = table.into_owned();
         span.field("rows_out", table.num_rows());
         if traced {
             span.field("sources", walk.source_names.len());
@@ -193,13 +163,13 @@ fn gather_lineage(mut lineage: Vec<Monomial>, kept: &[usize]) -> Vec<Monomial> {
 
 /// The state of one plan walk.
 struct Walk<'a, 'o> {
-    view: SourceView<'a>,
+    sources: &'a Sources,
     traced: bool,
     source_names: Vec<String>,
     observer: Observer<'o>,
 }
 
-impl<'a> Walk<'a, '_> {
+impl Walk<'_, '_> {
     fn intern(&mut self, name: &str) -> usize {
         if let Some(i) = self.source_names.iter().position(|n| n == name) {
             i
@@ -211,23 +181,23 @@ impl<'a> Walk<'a, '_> {
 
     /// Evaluates `node` in post-order: children first, then the operator,
     /// its quality profile and the observer.
-    fn eval(&mut self, node: &Node) -> Result<(Cow<'a, Table>, Lineage)> {
+    fn eval(&mut self, node: &Node) -> Result<(Table, Lineage)> {
         // Opened before child evaluation, so operator spans nest into the
         // plan tree. All field computation is gated on the span being live.
         let mut span = self.traced.then(|| nde_trace::span(op_span_name(node)));
         if let Some(span) = span.as_mut().filter(|s| s.is_active()) {
             span.field("op", node.label());
         }
-        let (table, lineage): (Cow<'a, Table>, Lineage) = match node {
+        let (table, lineage): (Table, Lineage) = match node {
             Node::Source { name } => {
-                let table = self.view.get(name)?;
+                let table = lookup_source(self.sources, name)?.clone();
                 let src = self.intern(name);
                 let lineage = self.traced.then(|| {
                     (0..table.num_rows())
                         .map(|i| Monomial::of(ProvToken::new(src, i)))
                         .collect()
                 });
-                (Cow::Borrowed(table), lineage)
+                (table, lineage)
             }
             Node::Join {
                 left,
@@ -253,7 +223,7 @@ impl<'a> Walk<'a, '_> {
                         })
                         .collect()
                 });
-                (Cow::Owned(out), lineage)
+                (out, lineage)
             }
             Node::FuzzyJoin {
                 left,
@@ -274,29 +244,29 @@ impl<'a> Walk<'a, '_> {
                         })
                         .collect()
                 });
-                (Cow::Owned(out), lineage)
+                (out, lineage)
             }
             Node::Filter { input, pred, .. } => {
                 let (t, l) = self.eval(input)?;
                 let (out, kept) = t.filter_traced(|r| pred(r))?;
-                (Cow::Owned(out), l.map(|l| gather_lineage(l, &kept)))
+                (out, l.map(|l| gather_lineage(l, &kept)))
             }
             Node::WithColumn {
                 input, name, udf, ..
             } => {
                 let (t, l) = self.eval(input)?;
-                (Cow::Owned(t.with_column(name, |r| udf(r))?), l)
+                (t.with_column(name, |r| udf(r))?, l)
             }
             Node::Project { input, columns } => {
                 let (t, l) = self.eval(input)?;
                 let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-                (Cow::Owned(t.select(&names)?), l)
+                (t.select(&names)?, l)
             }
             Node::DropNulls { input, columns } => {
                 let (t, l) = self.eval(input)?;
                 let names: Vec<&str> = columns.iter().map(String::as_str).collect();
                 let (out, kept) = t.drop_nulls_traced(&names)?;
-                (Cow::Owned(out), l.map(|l| gather_lineage(l, &kept)))
+                (out, l.map(|l| gather_lineage(l, &kept)))
             }
             Node::Concat { top, bottom } => {
                 let (tt, tl) = self.eval(top)?;
@@ -305,7 +275,7 @@ impl<'a> Walk<'a, '_> {
                     tl.extend(bl);
                     tl
                 });
-                (Cow::Owned(tt.concat(&bt)?), lineage)
+                (tt.concat(&bt)?, lineage)
             }
         };
         if let Some(span) = span.as_mut().filter(|s| s.is_active()) {
@@ -469,6 +439,17 @@ mod tests {
         // Both output rows trace to the same source row.
         assert_eq!(traced.lineage[0], traced.lineage[1]);
         assert_eq!(traced.source_names.len(), 1);
+    }
+
+    #[test]
+    fn bare_source_shares_the_source_columns() {
+        let srcs = demo_sources();
+        let out = Plan::source("jobdetail_df").run(&srcs).unwrap();
+        assert_eq!(out, srcs["jobdetail_df"]);
+        for name in ["job_id", "sector"] {
+            let source_col = srcs["jobdetail_df"].column(name).unwrap();
+            assert!(std::ptr::eq(out.column(name).unwrap(), source_col));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! and — crucially — changes in the distribution of protected groups
 //! introduced by filters and joins ("data distribution debugging").
 
-use crate::exec::{SourceView, Sources};
+use crate::exec::Sources;
 use crate::plan::{Node, Plan};
 use crate::Result;
 use nde_quality::{ColumnSketch, TableProfile};
@@ -104,7 +104,7 @@ pub fn inspect(
                 numeric_stats,
             });
         };
-        plan.execute(SourceView::new(sources), false, &mut observer)?;
+        plan.execute(sources, false, &mut observer)?;
     }
 
     // Recover the parent → first-child structure by re-walking the plan in

@@ -4,7 +4,7 @@
 //! using the monotonicity of select/project/join plans (the incremental-
 //! view-maintenance connection the paper highlights).
 
-use crate::exec::{lookup_source, SourceView, Sources, TracedTable};
+use crate::exec::{lookup_source, Sources, TracedTable};
 use crate::plan::Plan;
 use crate::provenance::{Monomial, ProvToken};
 use crate::{PipelineError, Result};
@@ -69,7 +69,7 @@ pub fn rerun_without_rows(
     let keep: Vec<usize> = (0..table.num_rows())
         .filter(|i| !remove.contains(i))
         .collect();
-    Ok(run_patched(plan, sources, source, &table.take(&keep)?, false)?.table)
+    Ok(run_patched(plan, sources, source, table.take(&keep)?, false)?.table)
 }
 
 /// Re-runs `plan` with cell repairs applied to a source table. Repairs are
@@ -84,7 +84,7 @@ pub fn rerun_with_repairs(
     for (row, column, value) in repairs {
         fixed.set(*row, column, value.clone())?;
     }
-    Ok(run_patched(plan, sources, source, &fixed, false)?.table)
+    Ok(run_patched(plan, sources, source, fixed, false)?.table)
 }
 
 /// Incremental **insertion** propagation — the other half of the
@@ -113,7 +113,7 @@ pub fn insert_source_rows(
         });
     }
     let offset = lookup_source(sources, source)?.num_rows();
-    let mut delta = run_patched(plan, sources, source, new_rows, true)?;
+    let mut delta = run_patched(plan, sources, source, new_rows.clone(), true)?;
     // Re-base the delta's provenance onto the grown source table.
     if let Some(src_idx) = delta.source_index(source) {
         for m in &mut delta.lineage {
@@ -123,20 +123,18 @@ pub fn insert_source_rows(
     Ok(delta)
 }
 
-/// Runs `plan` with source `source` replaced by `table`; every other
-/// source is read from `sources` in place.
+/// Runs `plan` with source `source` replaced by `table`. Copying the map
+/// shares every table's columns, so the other sources cost no cells.
 fn run_patched(
     plan: &Plan,
     sources: &Sources,
     source: &str,
-    table: &Table,
+    table: Table,
     traced: bool,
 ) -> Result<TracedTable> {
-    let view = SourceView {
-        sources,
-        patch: Some((source, table)),
-    };
-    plan.execute(view, traced, &mut |_, _| {})
+    let mut patched = sources.clone();
+    patched.insert(source.to_owned(), table);
+    plan.execute(&patched, traced, &mut |_, _| {})
 }
 
 fn count_source_occurrences(plan: &Plan, source: &str) -> usize {

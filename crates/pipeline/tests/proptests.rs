@@ -159,11 +159,10 @@ proptest! {
         }
     }
 
-    /// The what-if re-runs read the patched source in place. Each must
-    /// equal the obvious implementation, a run over a cloned map with the
-    /// source replaced, and leave the caller's map untouched.
+    /// Each what-if re-run must equal a plain run over a cloned map with
+    /// the source replaced, and leave the caller's map untouched.
     #[test]
-    fn patched_view_equals_cloned_map(
+    fn whatif_reruns_equal_cloned_map(
         table in arb_table(),
         ops in arb_ops(),
         with_join in any::<bool>(),

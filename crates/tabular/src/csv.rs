@@ -155,7 +155,6 @@ impl Table {
         for i in 0..self.num_rows() {
             let record: Vec<String> = self
                 .columns()
-                .iter()
                 .map(|c| match c.get(i) {
                     Value::Null => String::new(),
                     v => escape(&v.to_string()),

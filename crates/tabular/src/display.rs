@@ -14,7 +14,6 @@ impl Table {
         for i in 0..shown {
             cells.push(
                 self.columns()
-                    .iter()
                     .map(|c| truncate_cell(&c.get(i).to_string(), 40))
                     .collect(),
             );

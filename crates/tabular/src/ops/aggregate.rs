@@ -1,7 +1,7 @@
 //! Group-by aggregation.
 
 use crate::column::Column;
-use crate::ops::join::{key_of, Key};
+use crate::ops::join::{key_at, Key};
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
@@ -60,10 +60,10 @@ impl Table {
         }
 
         let key_cols: Vec<&Column> = keys.iter().map(|&k| self.column(k).unwrap()).collect();
-        let mut groups: HashMap<Vec<Option<Key>>, usize> = HashMap::new();
+        let mut groups: HashMap<Vec<Option<Key<'_>>>, usize> = HashMap::new();
         let mut order: Vec<Vec<usize>> = Vec::new(); // group id -> member rows
         for i in 0..self.num_rows() {
-            let gkey: Vec<Option<Key>> = key_cols.iter().map(|c| key_of(&c.get(i))).collect();
+            let gkey: Vec<Option<Key<'_>>> = key_cols.iter().map(|c| key_at(c, i)).collect();
             let next_id = order.len();
             let id = *groups.entry(gkey).or_insert(next_id);
             if id == order.len() {

@@ -1,5 +1,6 @@
 //! Vertical (union) and horizontal (zip) concatenation.
 
+use crate::column::Column;
 use crate::table::Table;
 use crate::{Result, TableError};
 
@@ -12,25 +13,23 @@ impl Table {
                 detail: format!("{} vs {}", self.schema(), other.schema()),
             });
         }
-        let mut out = self.clone();
-        let names: Vec<String> = out.schema().names().iter().map(|s| s.to_string()).collect();
-        for name in names {
-            let extra = other.column(&name)?.clone();
-            out.column_mut(&name)?.extend_from(&extra)?;
-        }
-        // Recompute row count via reconstruction.
-        let pairs: Vec<(String, crate::column::Column)> = out
-            .schema()
-            .fields()
-            .iter()
-            .zip(out.columns())
-            .map(|(f, c)| (f.name.clone(), c.clone()))
-            .collect();
-        Table::from_columns(pairs)
+        let columns = self
+            .columns()
+            .zip(other.columns())
+            .map(|(top, bottom)| {
+                let mut col = Column::empty(top.dtype());
+                col.reserve(top.len() + bottom.len());
+                col.extend_from(top)?;
+                col.extend_from(bottom)?;
+                Ok(col)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let num_rows = self.num_rows() + other.num_rows();
+        Ok(Table::from_parts(self.schema().clone(), columns, num_rows))
     }
 
-    /// Adds the columns of `other` side-by-side; row counts must match and
-    /// column names must not collide.
+    /// Adds the columns of `other` side-by-side, sharing both sides'
+    /// buffers; row counts must match and column names must not collide.
     pub fn hstack(&self, other: &Table) -> Result<Table> {
         if self.num_rows() != other.num_rows() {
             return Err(TableError::LengthMismatch {
@@ -39,8 +38,8 @@ impl Table {
             });
         }
         let mut out = self.clone();
-        for (field, col) in other.schema().fields().iter().zip(other.columns()) {
-            out.add_column(field.name.clone(), col.clone())?;
+        for (idx, field) in other.schema().fields().iter().enumerate() {
+            out.add_shared_column(field.name.clone(), other, idx)?;
         }
         Ok(out)
     }

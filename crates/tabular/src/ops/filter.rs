@@ -36,7 +36,7 @@ impl Table {
     /// Traced variant of [`Table::drop_nulls`].
     pub fn drop_nulls_traced(&self, names: &[&str]) -> Result<(Table, Vec<usize>)> {
         let cols: Vec<&crate::column::Column> = if names.is_empty() {
-            self.columns().iter().collect()
+            self.columns().collect()
         } else {
             names
                 .iter()

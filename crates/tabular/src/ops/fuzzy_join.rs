@@ -1,7 +1,8 @@
 //! Fuzzy (approximate string-match) joins, as used by the paper's hiring
 //! pipeline to link dirty side tables whose keys contain typos.
 
-use crate::ops::join::TracedJoin;
+use crate::column::Column;
+use crate::ops::join::{disambiguate, TracedJoin};
 use crate::table::Table;
 use crate::Result;
 
@@ -34,6 +35,14 @@ pub fn bounded_edit_distance(a: &str, b: &str, bound: usize) -> Option<usize> {
     (prev[short.len()] <= bound).then_some(prev[short.len()])
 }
 
+/// The cells of a string key column.
+fn str_keys(col: &Column) -> Result<&[Option<String>]> {
+    col.as_str().ok_or_else(|| crate::TableError::TypeMismatch {
+        expected: crate::DataType::Str,
+        found: col.dtype().to_string(),
+    })
+}
+
 impl Table {
     /// Inner join on string keys where keys match if their case-insensitive
     /// edit distance is at most `max_distance`. Each left row is joined with
@@ -60,22 +69,8 @@ impl Table {
         right_key: &str,
         max_distance: usize,
     ) -> Result<TracedJoin> {
-        let lcol = self.column(left_key)?;
-        let lvals = lcol
-            .as_str()
-            .ok_or_else(|| crate::TableError::TypeMismatch {
-                expected: crate::DataType::Str,
-                found: lcol.dtype().to_string(),
-            })?
-            .to_vec();
-        let rcol = right.column(right_key)?;
-        let rvals = rcol
-            .as_str()
-            .ok_or_else(|| crate::TableError::TypeMismatch {
-                expected: crate::DataType::Str,
-                found: rcol.dtype().to_string(),
-            })?
-            .to_vec();
+        let lvals = str_keys(self.column(left_key)?)?;
+        let rvals = str_keys(right.column(right_key)?)?;
 
         let mut trace: Vec<(usize, Option<usize>)> = Vec::new();
         for (i, lv) in lvals.iter().enumerate() {
@@ -114,23 +109,6 @@ impl Table {
         }
         Ok((out, trace))
     }
-}
-
-/// A right-column name that does not collide with any column already in
-/// `out`: the original name when free, otherwise `{name}_right`,
-/// `{name}_right2`, … — the plain `_right` rename can itself collide when
-/// the left table already carries both `X` and `X_right`.
-fn disambiguate(out: &Table, name: &str) -> String {
-    if !out.schema().contains(name) {
-        return name.to_string();
-    }
-    let mut candidate = format!("{name}_right");
-    let mut suffix = 2usize;
-    while out.schema().contains(&candidate) {
-        candidate = format!("{name}_right{suffix}");
-        suffix += 1;
-    }
-    candidate
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 
 use crate::column::Column;
 use crate::table::Table;
-use crate::value::Value;
-use crate::{Result, TableError};
+use crate::Result;
 use std::collections::HashMap;
 
 /// A traced join result: the joined table plus, for every output row, the
@@ -20,23 +19,23 @@ pub enum JoinType {
     Left,
 }
 
-/// A hashable, equality-normalized join key. `Int` and `Float` keys compare
-/// numerically (`1 == 1.0`); null keys never match (SQL semantics) and are
-/// represented by `None` at the call sites.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Key {
+/// A hashable, equality-normalized join key borrowed from a typed column.
+/// `Int` and `Float` keys compare numerically (`1 == 1.0`); null keys never
+/// match (SQL semantics) and are represented by `None` at the call sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Key<'a> {
     Num(u64),
-    Str(String),
+    Str(&'a str),
     Bool(bool),
 }
 
-pub(crate) fn key_of(value: &Value) -> Option<Key> {
-    match value {
-        Value::Null => None,
-        Value::Int(v) => Some(Key::Num(norm_bits(*v as f64))),
-        Value::Float(v) => Some(Key::Num(norm_bits(*v))),
-        Value::Str(v) => Some(Key::Str(v.clone())),
-        Value::Bool(v) => Some(Key::Bool(*v)),
+/// The key of cell `idx` of `col`, or `None` for a null cell.
+pub(crate) fn key_at(col: &Column, idx: usize) -> Option<Key<'_>> {
+    match col {
+        Column::Int(v) => v[idx].map(|x| Key::Num(norm_bits(x as f64))),
+        Column::Float(v) => v[idx].map(|x| Key::Num(norm_bits(x))),
+        Column::Str(v) => v[idx].as_deref().map(Key::Str),
+        Column::Bool(v) => v[idx].map(Key::Bool),
     }
 }
 
@@ -54,7 +53,8 @@ impl Table {
     ///
     /// Output columns are the left columns followed by the right columns
     /// minus the right key; right column names that collide with left names
-    /// get a `_right` suffix (mirroring Pandas' suffix behaviour).
+    /// get a `_right` suffix (mirroring Pandas' suffix behaviour), then
+    /// `_right2`, `_right3`, … while that is taken too.
     pub fn inner_join(&self, right: &Table, left_key: &str, right_key: &str) -> Result<Table> {
         Ok(self
             .join_traced(right, left_key, right_key, JoinType::Inner)?
@@ -82,9 +82,9 @@ impl Table {
         let rcol = right.column(right_key)?;
 
         // Build phase: right-side hash table keyed by normalized key.
-        let mut build: HashMap<Key, Vec<usize>> = HashMap::new();
+        let mut build: HashMap<Key<'_>, Vec<usize>> = HashMap::new();
         for i in 0..right.num_rows() {
-            if let Some(k) = key_of(&rcol.get(i)) {
+            if let Some(k) = key_at(rcol, i) {
                 build.entry(k).or_default().push(i);
             }
         }
@@ -92,7 +92,7 @@ impl Table {
         // Probe phase.
         let mut trace: Vec<(usize, Option<usize>)> = Vec::new();
         for i in 0..self.num_rows() {
-            let matches = key_of(&lcol.get(i)).and_then(|k| build.get(&k));
+            let matches = key_at(lcol, i).and_then(|k| build.get(&k));
             match matches {
                 Some(rows) => trace.extend(rows.iter().map(|&j| (i, Some(j)))),
                 None if how == JoinType::Left => trace.push((i, None)),
@@ -107,19 +107,28 @@ impl Table {
             if field.name == right_key {
                 continue;
             }
-            let gathered = gather_right(col, &trace);
-            let name = if out.schema().contains(&field.name) {
-                format!("{}_right", field.name)
-            } else {
-                field.name.clone()
-            };
-            if out.schema().contains(&name) {
-                return Err(TableError::DuplicateColumn { name });
-            }
-            out.add_column(name, gathered)?;
+            let name = disambiguate(&out, &field.name);
+            out.add_column(name, gather_right(col, &trace))?;
         }
         Ok((out, trace))
     }
+}
+
+/// A right-column name that does not collide with any column already in
+/// `out`: the original name when free, otherwise `{name}_right`,
+/// `{name}_right2`, … — the plain `_right` rename can itself collide when
+/// the left table already carries both `X` and `X_right`.
+pub(crate) fn disambiguate(out: &Table, name: &str) -> String {
+    if !out.schema().contains(name) {
+        return name.to_string();
+    }
+    let mut candidate = format!("{name}_right");
+    let mut suffix = 2usize;
+    while out.schema().contains(&candidate) {
+        candidate = format!("{name}_right{suffix}");
+        suffix += 1;
+    }
+    candidate
 }
 
 fn gather_right(col: &Column, trace: &[(usize, Option<usize>)]) -> Column {
@@ -141,6 +150,7 @@ fn gather_right(col: &Column, trace: &[(usize, Option<usize>)]) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn people() -> Table {
         Table::builder()
@@ -228,6 +238,28 @@ mod tests {
         let j = left.inner_join(&right, "k", "k").unwrap();
         assert_eq!(j.schema().names(), vec!["k", "name", "name_right"]);
         assert_eq!(j.get(0, "name_right").unwrap(), Value::from("r"));
+    }
+
+    #[test]
+    fn colliding_suffixed_right_columns_get_a_fresh_name() {
+        let left = Table::builder()
+            .int("k", [1])
+            .str("name", ["l"])
+            .str("name_right", ["lr"])
+            .build()
+            .unwrap();
+        let right = Table::builder()
+            .int("k", [1])
+            .str("name", ["r"])
+            .build()
+            .unwrap();
+        let j = left.inner_join(&right, "k", "k").unwrap();
+        assert_eq!(
+            j.schema().names(),
+            vec!["k", "name", "name_right", "name_right2"]
+        );
+        assert_eq!(j.get(0, "name_right").unwrap(), Value::from("lr"));
+        assert_eq!(j.get(0, "name_right2").unwrap(), Value::from("r"));
     }
 
     #[test]

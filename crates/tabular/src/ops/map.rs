@@ -16,13 +16,16 @@ impl Table {
     where
         F: FnMut(RowRef<'_>) -> Value,
     {
-        let f = f;
         let values: Vec<Value> = self.rows().map(f).collect();
         let column = Column::from_values(&values)?;
-        let mut out = self.clone();
-        if out.schema().contains(name) {
-            out.drop_column(name)?;
-        }
+        // Every other column is shared; a replaced column moves to the end.
+        let others: Vec<&str> = self
+            .schema()
+            .names()
+            .into_iter()
+            .filter(|&n| n != name)
+            .collect();
+        let mut out = self.select(&others)?;
         out.add_column(name, column)?;
         Ok(out)
     }
@@ -35,15 +38,13 @@ impl Table {
         let mut f = f;
         let values: Vec<Value> = self.column(name)?.iter().map(&mut f).collect();
         let column = Column::from_values(&values)?;
-        let mut out = self.clone();
-        let idx = out
+        let idx = self
             .schema()
             .index_of(name)
             .expect("column existence checked above");
         // Replace in place to preserve column order.
-        let col_name = out.schema().fields()[idx].name.clone();
-        out.drop_column(&col_name)?;
-        out.add_column(col_name, column)?;
+        let mut out = self.clone();
+        out.replace_column_at(idx, column);
         Ok(out)
     }
 }
@@ -102,6 +103,17 @@ mod tests {
         assert_eq!(t.get(1, "twitter").unwrap(), Value::from("<none>"));
         // Column order is preserved.
         assert_eq!(t.schema().names(), vec!["id", "twitter"]);
+    }
+
+    #[test]
+    fn map_column_keeps_a_leading_column_in_place() {
+        let t = demo()
+            .map_column("id", |v| Value::Float(v.as_float().unwrap() / 2.0))
+            .unwrap();
+        assert_eq!(t.schema().names(), vec!["id", "twitter"]);
+        assert_eq!(t.schema().field("id").unwrap().dtype, DataType::Float);
+        assert_eq!(t.column_at(0).dtype(), DataType::Float);
+        assert_eq!(t.get(1, "id").unwrap(), Value::Float(1.0));
     }
 
     #[test]

@@ -23,11 +23,11 @@ impl Table {
     pub fn quality_profile_sharded(&self, workers: usize, chunk_len: usize) -> TableProfile {
         let rows = self.num_rows();
         let fields = self.schema().fields();
-        let columns = self.columns();
+        let columns: Vec<&Column> = self.columns().collect();
         let shards = nde_parallel::par_map_chunks_with(workers, rows, chunk_len, |range| {
             let sketches = fields
                 .iter()
-                .zip(columns)
+                .zip(&columns)
                 .map(|(f, c)| sketch_column_range(&f.name, c, range.clone()))
                 .collect();
             let mut shard = TableProfile::with_columns(sketches);
@@ -38,7 +38,7 @@ impl Table {
             TableProfile::with_columns(
                 fields
                     .iter()
-                    .zip(columns)
+                    .zip(&columns)
                     .map(|(f, c)| sketch_column_range(&f.name, c, 0..0))
                     .collect(),
             )

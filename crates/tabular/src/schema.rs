@@ -102,6 +102,11 @@ impl Schema {
         Ok(())
     }
 
+    /// Changes the type of the field at `idx`.
+    pub(crate) fn set_dtype(&mut self, idx: usize, dtype: DataType) {
+        self.fields[idx].dtype = dtype;
+    }
+
     /// Removes a field by name, returning it. Rebuilds the name index.
     pub fn remove(&mut self, name: &str) -> Result<Field> {
         let idx = self

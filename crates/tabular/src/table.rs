@@ -6,8 +6,15 @@ use crate::row::RowRef;
 use crate::schema::{Field, Schema};
 use crate::value::Value;
 use crate::Result;
+use std::sync::Arc;
 
 /// A columnar table with a schema.
+///
+/// Each column is a shared, copy-on-write buffer: `clone`, `select`,
+/// `with_column`, `map_column`, `hstack` and `concat` share every column
+/// they pass through, so copying a table costs O(columns), not O(cells).
+/// Writes (`set`, `column_mut`, `push_row`) copy a column only while
+/// another table still shares it.
 ///
 /// Rows are addressed by position. Operators that drop, duplicate or reorder
 /// rows (filters, joins, sorts, sampling) have `*_traced` variants in
@@ -16,7 +23,7 @@ use crate::Result;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     num_rows: usize,
 }
 
@@ -53,7 +60,7 @@ impl Table {
                 _ => {}
             }
             fields.push(Field::new(name, col.dtype()));
-            columns.push(col);
+            columns.push(Arc::new(col));
         }
         Ok(Table {
             schema: Schema::new(fields)?,
@@ -84,23 +91,14 @@ impl Table {
 
     /// Column lookup by name.
     pub fn column(&self, name: &str) -> Result<&Column> {
-        self.schema
-            .index_of(name)
-            .map(|i| &self.columns[i])
-            .ok_or_else(|| TableError::ColumnNotFound {
-                name: name.to_owned(),
-            })
+        Ok(&self.columns[self.index_of(name)?])
     }
 
-    /// Mutable column lookup by name.
+    /// Mutable column lookup by name; copies the column first if another
+    /// table shares it.
     pub fn column_mut(&mut self, name: &str) -> Result<&mut Column> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| TableError::ColumnNotFound {
-                name: name.to_owned(),
-            })?;
-        Ok(&mut self.columns[idx])
+        let idx = self.index_of(name)?;
+        Ok(Arc::make_mut(&mut self.columns[idx]))
     }
 
     /// Column by position.
@@ -109,8 +107,16 @@ impl Table {
     }
 
     /// All columns, in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &Column> + Clone {
+        self.columns.iter().map(|c| &**c)
+    }
+
+    fn index_of(&self, name: &str) -> Result<usize> {
+        self.schema
+            .index_of(name)
+            .ok_or_else(|| TableError::ColumnNotFound {
+                name: name.to_owned(),
+            })
     }
 
     /// A lightweight reference to row `idx`.
@@ -154,6 +160,20 @@ impl Table {
     /// Appends a column; its length must match the current row count
     /// (any length is accepted when the table has no columns yet).
     pub fn add_column(&mut self, name: impl Into<String>, column: Column) -> Result<()> {
+        self.push_column(name.into(), Arc::new(column))
+    }
+
+    /// Appends column `idx` of `from`, sharing its buffer.
+    pub(crate) fn add_shared_column(
+        &mut self,
+        name: String,
+        from: &Table,
+        idx: usize,
+    ) -> Result<()> {
+        self.push_column(name, Arc::clone(&from.columns[idx]))
+    }
+
+    fn push_column(&mut self, name: String, column: Arc<Column>) -> Result<()> {
         if !self.columns.is_empty() && column.len() != self.num_rows {
             return Err(TableError::LengthMismatch {
                 expected: self.num_rows,
@@ -168,16 +188,20 @@ impl Table {
         Ok(())
     }
 
-    /// Removes a column by name, returning it.
+    /// Replaces the column at `idx` in its slot, updating its field's type.
+    /// The caller guarantees the length matches.
+    pub(crate) fn replace_column_at(&mut self, idx: usize, column: Column) {
+        debug_assert_eq!(column.len(), self.num_rows);
+        self.schema.set_dtype(idx, column.dtype());
+        self.columns[idx] = Arc::new(column);
+    }
+
+    /// Removes a column by name, returning it (copied only if another
+    /// table still shares it).
     pub fn drop_column(&mut self, name: &str) -> Result<Column> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| TableError::ColumnNotFound {
-                name: name.to_owned(),
-            })?;
+        let idx = self.index_of(name)?;
         self.schema.remove(name)?;
-        Ok(self.columns.remove(idx))
+        Ok(Arc::unwrap_or_clone(self.columns.remove(idx)))
     }
 
     /// Renames a column.
@@ -194,7 +218,7 @@ impl Table {
             });
         }
         for (col, value) in self.columns.iter_mut().zip(values) {
-            col.push(value)?;
+            Arc::make_mut(col).push(value)?;
         }
         self.num_rows += 1;
         Ok(())
@@ -209,11 +233,23 @@ impl Table {
                 len: self.num_rows,
             });
         }
-        Ok(Table {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
-            num_rows: indices.len(),
-        })
+        let columns = self.columns().map(|c| c.take(indices)).collect();
+        Ok(Table::from_parts(
+            self.schema.clone(),
+            columns,
+            indices.len(),
+        ))
+    }
+
+    /// Assembles a table from a schema and matching columns of `num_rows`
+    /// cells each; the caller guarantees the invariants.
+    pub(crate) fn from_parts(schema: Schema, columns: Vec<Column>, num_rows: usize) -> Table {
+        debug_assert!(columns.iter().all(|c| c.len() == num_rows));
+        Table {
+            schema,
+            columns: columns.into_iter().map(Arc::new).collect(),
+            num_rows,
+        }
     }
 
     /// The first `n` rows (fewer if the table is shorter).
@@ -222,13 +258,22 @@ impl Table {
         self.take(&indices).expect("indices in bounds")
     }
 
-    /// Projects the table to the named columns, in the given order.
+    /// Projects the table to the named columns, in the given order; the
+    /// projected columns are shared, not copied.
     pub fn select(&self, names: &[&str]) -> Result<Self> {
-        let mut pairs = Vec::with_capacity(names.len());
+        let mut fields = Vec::with_capacity(names.len());
+        let mut columns = Vec::with_capacity(names.len());
         for &name in names {
-            pairs.push((name.to_owned(), self.column(name)?.clone()));
+            let idx = self.index_of(name)?;
+            fields.push(self.schema.fields()[idx].clone());
+            columns.push(Arc::clone(&self.columns[idx]));
         }
-        Table::from_columns(pairs)
+        Ok(Table {
+            schema: Schema::new(fields)?,
+            // A table without columns has no rows.
+            num_rows: if columns.is_empty() { 0 } else { self.num_rows },
+            columns,
+        })
     }
 
     /// Row values in schema order.
@@ -244,7 +289,7 @@ impl Table {
 
     /// Total nulls across all columns.
     pub fn null_count(&self) -> usize {
-        self.columns.iter().map(Column::null_count).sum()
+        self.columns().map(Column::null_count).sum()
     }
 }
 
@@ -435,6 +480,83 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(t.null_count(), 2);
+    }
+
+    fn shares(a: &Table, b: &Table, name: &str) -> bool {
+        std::ptr::eq(a.column(name).unwrap(), b.column(name).unwrap())
+    }
+
+    #[test]
+    fn clone_and_select_share_column_buffers() {
+        let t = demo();
+        let c = t.clone();
+        for name in ["id", "name", "x"] {
+            assert!(shares(&t, &c, name));
+        }
+        let p = t.select(&["x", "name"]).unwrap();
+        assert!(shares(&t, &p, "x"));
+        assert!(shares(&t, &p, "name"));
+    }
+
+    #[test]
+    fn with_column_shares_untouched_columns() {
+        let t = demo();
+        let w = t
+            .with_column("y", |r| Value::Int(r.index() as i64))
+            .unwrap();
+        for name in ["id", "name", "x"] {
+            assert!(shares(&t, &w, name));
+        }
+        let m = t.map_column("x", |v| v).unwrap();
+        assert!(shares(&t, &m, "id"));
+        assert!(!shares(&t, &m, "x"));
+    }
+
+    #[test]
+    fn hstack_shares_both_sides() {
+        let t = demo();
+        let other = Table::builder()
+            .bool("flag", [true, false, true])
+            .build()
+            .unwrap();
+        let h = t.hstack(&other).unwrap();
+        assert!(shares(&t, &h, "name"));
+        assert!(shares(&other, &h, "flag"));
+    }
+
+    #[test]
+    fn set_on_a_clone_copies_only_that_column() {
+        let t = demo();
+        let mut c = t.clone();
+        c.set(0, "name", Value::from("zed")).unwrap();
+        assert_eq!(t.get(0, "name").unwrap(), Value::from("a"));
+        assert_eq!(c.get(0, "name").unwrap(), Value::from("zed"));
+        assert!(!shares(&t, &c, "name"));
+        assert!(shares(&t, &c, "id"));
+        assert!(shares(&t, &c, "x"));
+    }
+
+    #[test]
+    fn writes_to_an_unshared_column_stay_in_place() {
+        let mut t = demo();
+        let before: *const Column = t.column("id").unwrap();
+        t.set(1, "id", Value::Int(7)).unwrap();
+        assert!(std::ptr::eq(before, t.column("id").unwrap()));
+        let c = t.clone();
+        t.push_row(vec![Value::Int(4), Value::from("d"), Value::Float(0.4)])
+            .unwrap();
+        assert_eq!((c.num_rows(), t.num_rows()), (3, 4));
+        assert_eq!(c.get(1, "id").unwrap(), Value::Int(7));
+    }
+
+    #[test]
+    fn drop_column_of_a_shared_table_leaves_the_other_intact() {
+        let t = demo();
+        let mut c = t.clone();
+        let name = c.drop_column("name").unwrap();
+        assert_eq!(name, *t.column("name").unwrap());
+        assert_eq!(t.num_columns(), 3);
+        assert_eq!(c.schema().names(), vec!["id", "x"]);
     }
 
     #[test]
