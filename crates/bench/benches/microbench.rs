@@ -1,8 +1,11 @@
 //! Criterion microbenches for the performance-critical kernels:
 //! exact KNN-Shapley, TMC sampling, relational operators, provenance-traced
-//! execution, symbolic (Zorro) training steps, and CPClean certainty checks.
+//! execution, table encoding (memoised text embedding), symbolic (Zorro)
+//! training steps, and CPClean certainty checks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nde_core::scenario::standard_encoder;
+use nde_datagen::{HiringConfig, HiringScenario};
 use nde_importance::knn_shapley::knn_shapley;
 use nde_importance::semivalue::{tmc_shapley, McConfig};
 use nde_importance::utility::{ModelUtility, UtilityMetric};
@@ -239,6 +242,23 @@ fn bench_kdtree(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_encode(c: &mut Criterion) {
+    let letters = HiringScenario::generate(&HiringConfig {
+        n_train: 8_000,
+        n_valid: 0,
+        n_test: 0,
+        ..Default::default()
+    })
+    .train;
+    let fitted = standard_encoder().fit(&letters).unwrap();
+    let mut group = c.benchmark_group("encode");
+    group.sample_size(10);
+    group.bench_function("transform_8k_letters", |b| {
+        b.iter(|| fitted.transform(&letters).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_cpclean(c: &mut Criterion) {
     let mut group = c.benchmark_group("cpclean_certainty");
     group.sample_size(10);
@@ -269,6 +289,7 @@ criterion_group!(
     bench_tmc_shapley,
     bench_relational_ops,
     bench_provenance_overhead,
+    bench_encode,
     bench_zorro,
     bench_kdtree,
     bench_cpclean

@@ -33,8 +33,6 @@ impl RagCorpus {
         if docs.is_empty() {
             return Err(LearnError::EmptyDataset);
         }
-        let embedder = SentenceEmbedder::new(dims);
-        let rows: Vec<Vec<f64>> = docs.iter().map(|(t, _)| embedder.embed(t)).collect();
         let labels: Vec<usize> = docs.iter().map(|&(_, l)| l).collect();
         if let Some(&bad) = labels.iter().find(|&&l| l >= n_answers) {
             return Err(LearnError::UnknownLabel {
@@ -43,7 +41,7 @@ impl RagCorpus {
             });
         }
         Ok(RagCorpus {
-            embeddings: Matrix::from_rows(&rows)?,
+            embeddings: SentenceEmbedder::new(dims).embed_matrix(docs.len(), |i| &docs[i].0),
             labels,
             n_answers,
         })
@@ -96,10 +94,8 @@ impl RagEvalSet {
         if queries.is_empty() {
             return Err(LearnError::EmptyDataset);
         }
-        let embedder = SentenceEmbedder::new(dims);
-        let rows: Vec<Vec<f64>> = queries.iter().map(|(t, _)| embedder.embed(t)).collect();
         Ok(RagEvalSet {
-            queries: Matrix::from_rows(&rows)?,
+            queries: SentenceEmbedder::new(dims).embed_matrix(queries.len(), |i| &queries[i].0),
             gold: queries.iter().map(|&(_, g)| g).collect(),
         })
     }

@@ -190,15 +190,13 @@ impl TableEncoder {
     }
 }
 
-fn label_strings(table: &Table, label: &str) -> Result<Vec<Option<String>>> {
+fn label_strings<'t>(table: &'t Table, label: &str) -> Result<&'t [Option<String>]> {
     let col = table.column(label).map_err(|e| LearnError::Encoding {
         detail: e.to_string(),
     })?;
-    col.as_str()
-        .map(|cells| cells.to_vec())
-        .ok_or_else(|| LearnError::Encoding {
-            detail: format!("label column {label:?} must be a string column"),
-        })
+    col.as_str().ok_or_else(|| LearnError::Encoding {
+        detail: format!("label column {label:?} must be a string column"),
+    })
 }
 
 impl FittedTableEncoder {
@@ -220,10 +218,14 @@ impl FittedTableEncoder {
     }
 
     /// Encodes only the features of `table` (row `i` of the output comes
-    /// from row `i` of the input).
+    /// from row `i` of the input). Every spec writes its columns straight
+    /// into one row-major `rows × width` buffer, so a zero-row table still
+    /// yields `width` columns.
     pub fn transform_features(&self, table: &Table) -> Result<Matrix> {
         let n = table.num_rows();
-        let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(self.width); n];
+        let width = self.width;
+        let mut data = vec![0.0; n * width];
+        let mut offset = 0;
         for spec in &self.fitted {
             match spec {
                 FittedSpec::Numeric { name, mean, std } => {
@@ -233,16 +235,15 @@ impl FittedTableEncoder {
                     let vals = col.to_f64().map_err(|e| LearnError::Encoding {
                         detail: e.to_string(),
                     })?;
-                    for (row, v) in rows.iter_mut().zip(vals) {
+                    for (i, v) in vals.into_iter().enumerate() {
                         let x = v.unwrap_or(*mean);
-                        row.push((x - mean) / std);
+                        data[i * width + offset] = (x - mean) / std;
                     }
+                    offset += 1;
                 }
                 FittedSpec::Categorical { name, encoder } => {
-                    let encoded = encoder.transform(table, name)?;
-                    for (row, mut e) in rows.iter_mut().zip(encoded) {
-                        row.append(&mut e);
-                    }
+                    encoder.transform_into(table, name, &mut data, width, offset)?;
+                    offset += encoder.width();
                 }
                 FittedSpec::Text { name, embedder } => {
                     let col = table.column(name).map_err(|e| LearnError::Encoding {
@@ -251,14 +252,18 @@ impl FittedTableEncoder {
                     let cells = col.as_str().ok_or_else(|| LearnError::Encoding {
                         detail: format!("text column {name:?} must be a string column"),
                     })?;
-                    for (row, cell) in rows.iter_mut().zip(cells) {
-                        let mut e = embedder.embed(cell.as_deref().unwrap_or(""));
-                        row.append(&mut e);
-                    }
+                    embedder.embed_rows(
+                        n,
+                        |i| cells[i].as_deref().unwrap_or(""),
+                        &mut data,
+                        width,
+                        offset,
+                    );
+                    offset += embedder.dims;
                 }
             }
         }
-        Matrix::from_rows(&rows)
+        Matrix::new(n, width, data)
     }
 
     /// Encodes features and labels into a [`ClassDataset`]. Rows whose label
@@ -326,6 +331,16 @@ mod tests {
         assert_eq!(data.n_features(), 20);
         assert_eq!(data.len(), 4);
         assert_eq!(data.n_classes, 2);
+    }
+
+    #[test]
+    fn empty_table_keeps_width() {
+        let enc = TableEncoder::new(specs(), "sentiment");
+        let fitted = enc.fit(&demo()).unwrap();
+        let data = fitted.transform(&demo().head(0)).unwrap();
+        assert_eq!(data.len(), 0);
+        assert_eq!(data.n_features(), fitted.width());
+        assert_eq!(data.x.ncols(), 20);
     }
 
     #[test]

@@ -12,4 +12,4 @@ pub use encoder::{ColumnSpec, FittedTableEncoder, TableEncoder};
 pub use imputer::{ImputeStrategy, Imputer};
 pub use onehot::OneHotEncoder;
 pub use scaler::{MinMaxScaler, StandardScaler};
-pub use text::{HashingVectorizer, SentenceEmbedder};
+pub use text::SentenceEmbedder;

@@ -37,28 +37,58 @@ impl OneHotEncoder {
         self.categories.len()
     }
 
-    /// Encodes one cell.
-    pub fn encode(&self, cell: Option<&str>) -> Vec<f64> {
-        let mut out = vec![0.0; self.categories.len()];
-        if let Some(value) = cell {
-            if let Ok(pos) = self.categories.binary_search_by(|c| c.as_str().cmp(value)) {
-                out[pos] = 1.0;
-            }
-        }
-        out
+    /// The position of `cell`'s category, or `None` for unseen categories
+    /// and nulls (which encode to the all-zero vector).
+    pub fn index_of(&self, cell: Option<&str>) -> Option<usize> {
+        cell.and_then(|value| {
+            self.categories
+                .binary_search_by(|c| c.as_str().cmp(value))
+                .ok()
+        })
     }
 
-    /// Encodes a whole column into row vectors.
-    pub fn transform(&self, table: &Table, column: &str) -> Result<Vec<Vec<f64>>> {
+    /// Encodes `column` of `table` into a row-major buffer: row `i`'s
+    /// one-hot vector overwrites `out[i * stride + offset..][..width]`, and
+    /// every other cell of `out` is left as it is.
+    ///
+    /// # Panics
+    ///
+    /// If `out.len() != rows * stride`, or if `offset + width > stride`.
+    pub fn transform_into(
+        &self,
+        table: &Table,
+        column: &str,
+        out: &mut [f64],
+        stride: usize,
+        offset: usize,
+    ) -> Result<()> {
         let col = table.column(column).map_err(|e| LearnError::Encoding {
             detail: e.to_string(),
         })?;
-        match col {
-            Column::Str(cells) => Ok(cells.iter().map(|c| self.encode(c.as_deref())).collect()),
-            _ => Err(LearnError::Encoding {
+        let Column::Str(cells) = col else {
+            return Err(LearnError::Encoding {
                 detail: format!("one-hot column {column:?} must be a string column"),
-            }),
+            });
+        };
+        let width = self.width();
+        assert!(
+            offset + width <= stride,
+            "a {width}-wide one-hot block at offset {offset} does not fit in rows of {stride}"
+        );
+        assert_eq!(
+            out.len(),
+            cells.len() * stride,
+            "{} rows of {stride} values expected",
+            cells.len()
+        );
+        for (i, cell) in cells.iter().enumerate() {
+            let block = &mut out[i * stride + offset..][..width];
+            block.fill(0.0);
+            if let Some(pos) = self.index_of(cell.as_deref()) {
+                block[pos] = 1.0;
+            }
         }
+        Ok(())
     }
 }
 
@@ -92,18 +122,26 @@ mod tests {
     #[test]
     fn encodes_known_unknown_and_null() {
         let enc = OneHotEncoder::fit(&demo(), "degree").unwrap();
-        assert_eq!(enc.encode(Some("msc")), vec![0.0, 1.0, 0.0]);
-        assert_eq!(enc.encode(Some("unseen")), vec![0.0, 0.0, 0.0]);
-        assert_eq!(enc.encode(None), vec![0.0, 0.0, 0.0]);
+        assert_eq!(enc.index_of(Some("msc")), Some(1));
+        assert_eq!(enc.index_of(Some("unseen")), None);
+        assert_eq!(enc.index_of(None), None);
     }
 
     #[test]
     fn transform_encodes_each_row() {
         let enc = OneHotEncoder::fit(&demo(), "degree").unwrap();
-        let rows = enc.transform(&demo(), "degree").unwrap();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[2], vec![0.0, 0.0, 0.0]);
-        assert_eq!(rows[4], vec![1.0, 0.0, 0.0]);
+        // Rows of 5 with the 3-wide block at offset 1; the cells around it
+        // keep their 9.0.
+        let mut out = vec![9.0; 5 * 5];
+        enc.transform_into(&demo(), "degree", &mut out, 5, 1)
+            .unwrap();
+        assert_eq!(&out[..5], &[9.0, 0.0, 1.0, 0.0, 9.0]);
+        assert_eq!(&out[10..15], &[9.0, 0.0, 0.0, 0.0, 9.0]);
+        assert_eq!(&out[20..], &[9.0, 1.0, 0.0, 0.0, 9.0]);
+        let t = Table::builder().int("degree", [1]).build().unwrap();
+        assert!(enc
+            .transform_into(&t, "degree", &mut [0.0; 5], 5, 1)
+            .is_err());
     }
 
     #[test]

@@ -119,6 +119,43 @@ fn banzhaf_msr_is_thread_count_invariant() {
     );
 }
 
+/// Text embedding fans out over 512-row chunks, each with its own token
+/// memo: 1 300 training rows span three chunks, and both encoded splits
+/// must be bit-identical for any worker count.
+#[test]
+fn encode_splits_is_thread_count_invariant() {
+    let s = HiringScenario::generate(&HiringConfig {
+        n_train: 1_300,
+        n_valid: 200,
+        n_test: 0,
+        ..Default::default()
+    });
+    sweep_threads(
+        || {
+            let (_, train, valid) = encode_splits(&s.train, &s.valid).unwrap();
+            (train, valid)
+        },
+        |threads, reference, candidate| {
+            assert_bit_identical(
+                "train features",
+                reference.0.x.data(),
+                candidate.0.x.data(),
+                threads,
+            );
+            assert_bit_identical(
+                "valid features",
+                reference.1.x.data(),
+                candidate.1.x.data(),
+                threads,
+            );
+            assert_eq!(
+                reference.0.y, candidate.0.y,
+                "train labels at {threads} threads"
+            );
+        },
+    );
+}
+
 /// Data-quality profiling shares the deterministic-parallel contract:
 /// the sharded profile of a realistic mixed-type table (floats with
 /// injected nulls, strings, ints, bools) must be bit-identical for any
