@@ -1,7 +1,8 @@
 //! Criterion microbenches for the performance-critical kernels:
 //! exact KNN-Shapley, TMC sampling, relational operators, provenance-traced
 //! execution, table encoding (memoised text embedding), symbolic (Zorro)
-//! training steps, and CPClean certainty checks.
+//! training steps, the `identify` detectors (neighbor ranking, Confident
+//! Learning, AUM), and CPClean certainty checks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nde_core::scenario::standard_encoder;
@@ -236,8 +237,39 @@ fn bench_kdtree(c: &mut Criterion) {
         b.iter(|| k_nearest(train.len(), 5, |i| sq_dist(train.x.row(i), &query)))
     });
     group.bench_function("kdtree_5k", |b| b.iter(|| indexed.predict(&query)));
-    group.bench_function("kdtree_build_5k", |b| {
-        b.iter(|| KdTree::build(train.x.clone()))
+    group.bench_function("kdtree_build_5k", |b| b.iter(|| KdTree::build(&train.x)));
+    group.finish();
+}
+
+/// The `identify` workload's detectors on its own inputs: 2 000 encoded
+/// letters (69 features) with a fifth of the labels flipped, and one
+/// validation row's 2 000 distances for the ranking kernel.
+fn bench_identify(c: &mut Criterion) {
+    use nde_core::scenario::encode_splits;
+    use nde_datagen::errors::flip_labels;
+    use nde_importance::{aum_scores, confident_learning, AumConfig};
+    use nde_learners::matrix::sq_dists;
+    use nde_parallel::neighbor_order::rank_all;
+    let s = HiringScenario::generate(&HiringConfig {
+        n_train: 2_000,
+        n_valid: 1,
+        n_test: 0,
+        ..Default::default()
+    });
+    let (dirty, _) = flip_labels(&s.train, "sentiment", 0.2, 1).unwrap();
+    let (_, train, valid) = encode_splits(&dirty, &s.valid).unwrap();
+    let mut dists = vec![0.0; train.len()];
+    sq_dists(train.x.data(), valid.x.row(0), &mut dists);
+    let mut group = c.benchmark_group("identify");
+    group.sample_size(10);
+    group.bench_function("rank_all_2000", |b| {
+        b.iter(|| rank_all(dists.len(), |t| dists[t]))
+    });
+    group.bench_function("confident_learning_2000x69", |b| {
+        b.iter(|| confident_learning(&KnnClassifier::new(5), &train, 5, 1).unwrap())
+    });
+    group.bench_function("aum_2000x69", |b| {
+        b.iter(|| aum_scores(&train, &AumConfig::default()))
     });
     group.finish();
 }
@@ -292,6 +324,7 @@ criterion_group!(
     bench_encode,
     bench_zorro,
     bench_kdtree,
+    bench_identify,
     bench_cpclean
 );
 criterion_main!(benches);

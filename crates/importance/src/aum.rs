@@ -5,8 +5,8 @@
 //! negative — an uncertainty-based detector that needs no validation set.
 
 use nde_learners::dataset::ClassDataset;
-use nde_learners::matrix::dot;
-use nde_learners::models::logistic::softmax;
+use nde_learners::matrix::Matrix;
+use nde_learners::models::logistic::softmax_into;
 
 /// Configuration for the AUM training run.
 #[derive(Debug, Clone)]
@@ -32,26 +32,38 @@ impl Default for AumConfig {
 /// AUM scores, one per training example. Directly follows the crate's
 /// lower-is-more-suspect convention: mislabeled examples accumulate low or
 /// negative margins.
+///
+/// The weights are fixed within an epoch, so each epoch first computes
+/// every row's logits with the row-blocked [`Matrix::dot_rows`] kernel,
+/// then walks the rows in order for margins, softmax and gradient, in
+/// buffers reused across rows and epochs.
 pub fn aum_scores(data: &ClassDataset, cfg: &AumConfig) -> Vec<f64> {
     let (n, d, c) = (data.len(), data.n_features(), data.n_classes);
     if n == 0 {
         return Vec::new();
     }
-    let mut w = vec![0.0f64; c * d];
+    let mut w = Matrix::zeros(c, d);
     let mut b = vec![0.0f64; c];
     let inv_n = 1.0 / n as f64;
     let mut margin_sum = vec![0.0f64; n];
     let mut grad_w = vec![0.0f64; c * d];
     let mut grad_b = vec![0.0f64; c];
+    let mut all_logits = vec![0.0f64; n * c];
+    let mut probs = vec![0.0f64; c];
 
     for _ in 0..cfg.epochs {
         grad_w.iter_mut().for_each(|g| *g = 0.0);
         grad_b.iter_mut().for_each(|g| *g = 0.0);
-        for (i, ms) in margin_sum.iter_mut().enumerate().take(n) {
+        data.x.dot_rows(&w, &mut all_logits);
+        for (i, (ms, logits)) in margin_sum
+            .iter_mut()
+            .zip(all_logits.chunks_exact_mut(c))
+            .enumerate()
+        {
             let xi = data.x.row(i);
-            let logits: Vec<f64> = (0..c)
-                .map(|k| dot(&w[k * d..(k + 1) * d], xi) + b[k])
-                .collect();
+            for (z, &bk) in logits.iter_mut().zip(&b) {
+                *z += bk;
+            }
             // Margin of the assigned class over the best other class.
             let yi = data.y[i];
             let best_other = logits
@@ -62,7 +74,7 @@ pub fn aum_scores(data: &ClassDataset, cfg: &AumConfig) -> Vec<f64> {
                 .fold(f64::NEG_INFINITY, f64::max);
             *ms += logits[yi] - best_other;
 
-            let probs = softmax(&logits);
+            softmax_into(logits, &mut probs);
             for k in 0..c {
                 let err = probs[k] - f64::from(u8::from(yi == k));
                 grad_b[k] += err;
@@ -73,10 +85,7 @@ pub fn aum_scores(data: &ClassDataset, cfg: &AumConfig) -> Vec<f64> {
         }
         for k in 0..c {
             b[k] -= cfg.learning_rate * grad_b[k] * inv_n;
-            for (wj, &gj) in w[k * d..(k + 1) * d]
-                .iter_mut()
-                .zip(&grad_w[k * d..(k + 1) * d])
-            {
+            for (wj, &gj) in w.row_mut(k).iter_mut().zip(&grad_w[k * d..(k + 1) * d]) {
                 *wj -= cfg.learning_rate * (gj * inv_n + cfg.l2 * *wj);
             }
         }

@@ -5,6 +5,12 @@
 use nde_learners::dataset::ClassDataset;
 use nde_learners::traits::Learner;
 use nde_learners::Result;
+use nde_parallel::par_map_chunks;
+
+/// Test rows per prediction chunk. Chunk boundaries depend only on the
+/// fold's size, so the probabilities are bit-identical for any thread
+/// count.
+const PREDICT_CHUNK: usize = 32;
 
 /// Output of confident learning.
 #[derive(Debug, Clone)]
@@ -26,6 +32,12 @@ pub struct ConfidentReport {
 
 /// Runs confident learning with `folds`-fold cross-validated probabilities
 /// from `learner`.
+///
+/// Folds run one after another, so only one fold's model is alive at a
+/// time; within a fold, the test rows' predictions fan out over
+/// `NDE_THREADS` workers in fixed chunks and are written back in order.
+/// Each prediction is a pure function of its row, so the report is
+/// bit-identical for every worker count.
 pub fn confident_learning(
     learner: &dyn Learner,
     data: &ClassDataset,
@@ -39,8 +51,14 @@ pub fn confident_learning(
     let folds_data = k_fold_indices(data, folds, seed)?;
     for (train_idx, test_idx) in folds_data {
         let model = learner.fit(&data.subset(&train_idx))?;
-        for &i in &test_idx {
-            probs[i] = model.predict_proba(data.x.row(i));
+        let fold_probs = par_map_chunks(test_idx.len(), PREDICT_CHUNK, |range| {
+            test_idx[range]
+                .iter()
+                .map(|&i| model.predict_proba(data.x.row(i)))
+                .collect::<Vec<_>>()
+        });
+        for (&i, p) in test_idx.iter().zip(fold_probs.into_iter().flatten()) {
+            probs[i] = p;
         }
     }
 

@@ -11,7 +11,7 @@
 //! from `nde_parallel::neighbor_order`, so the paths agree bit-for-bit.
 
 use nde_learners::dataset::ClassDataset;
-use nde_learners::matrix::sq_dist;
+use nde_learners::matrix::{sq_dist, sq_dists};
 use nde_learners::models::kdtree::KdTree;
 use nde_parallel::neighbor_order::rank_all;
 use nde_parallel::{par_reduce, NeighborCache};
@@ -104,9 +104,10 @@ pub fn knn_shapley(train: &ClassDataset, valid: &ClassDataset, k: usize) -> Vec<
         vec![0.0f64; n],
         |chunk| {
             let mut scores = vec![0.0f64; n];
+            let mut dists = vec![0.0f64; n];
             for v in chunk {
-                let xv = valid.x.row(v);
-                let ranked = rank_all(n, |t| sq_dist(train.x.row(t), xv));
+                sq_dists(train.x.data(), valid.x.row(v), &mut dists);
+                let ranked = rank_all(n, |t| dists[t]);
                 accumulate_one(&mut scores, &ranked, &train.y, valid.y[v], k);
             }
             scores
@@ -191,7 +192,7 @@ pub fn build_topk_cache(train: &ClassDataset, valid: &ClassDataset, k: usize) ->
     span.field("n_valid", valid.len());
     span.field("k", k);
     let depth = (k.max(1) + 1).min(train.len());
-    let tree = KdTree::build(train.x.clone());
+    let tree = KdTree::build(&train.x);
     NeighborCache::top_k(train.len(), valid.len(), depth, |v| {
         tree.nearest_with_distances(valid.x.row(v), depth)
             .into_iter()

@@ -240,6 +240,59 @@ impl Matrix {
         Ok(x)
     }
 
+    /// Every row's dot product with every row of `w`:
+    /// `out[i * w.nrows() + k] = dot(w.row(k), self.row(i))` bit for bit —
+    /// `X Wᵀ`, the logits of a linear model with weight rows `w`.
+    ///
+    /// Like [`sq_dists`], it blocks over rows: each block of four
+    /// rows runs one independent accumulator per row, and every dot adds
+    /// its terms in column order starting from `-0.0`. A NaN dot gets
+    /// [`CANONICAL_NAN`].
+    ///
+    /// # Panics
+    ///
+    /// When the widths differ or `out` does not hold
+    /// `self.nrows() * w.nrows()` values.
+    pub fn dot_rows(&self, w: &Matrix, out: &mut [f64]) {
+        let (d, c) = (self.cols, w.rows);
+        assert_eq!(
+            w.cols, d,
+            "dot_rows: width {d} vs weights of width {}",
+            w.cols
+        );
+        assert_eq!(
+            out.len(),
+            self.rows * c,
+            "dot_rows: output of {} for {}x{c} values",
+            out.len(),
+            self.rows
+        );
+        let n = self.rows;
+        let full = n - n % BLOCK;
+        for i in (0..full).step_by(BLOCK) {
+            let (r0, rest) = self.data[i * d..(i + BLOCK) * d].split_at(d);
+            let (r1, rest) = rest.split_at(d);
+            let (r2, r3) = rest.split_at(d);
+            for k in 0..c {
+                let mut acc = [-0.0f64; BLOCK];
+                for ((((&x, &a), &b), &cc), &e) in w.row(k).iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                    acc[0] += x * a;
+                    acc[1] += x * b;
+                    acc[2] += x * cc;
+                    acc[3] += x * e;
+                }
+                for (r, a) in acc.into_iter().enumerate() {
+                    out[(i + r) * c + k] = canonical(a);
+                }
+            }
+        }
+        for i in full..n {
+            for k in 0..c {
+                out[i * c + k] = dot(w.row(k), self.row(i));
+            }
+        }
+    }
+
     /// Adds `lambda` to the diagonal (ridge regularization) in place.
     pub fn add_ridge(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
@@ -249,16 +302,91 @@ impl Matrix {
     }
 }
 
-/// Dot product of equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// The one NaN that [`dot`], [`sq_dist`] and their blocked kernels
+/// return: a quiet NaN with the sign bit clear, which the neighbor order
+/// (`f64::total_cmp`) ranks after `+∞`.
+///
+/// Which NaN an arithmetic operation returns is not specified: on x86 an
+/// add passes on one operand's NaN, and the compiler may swap the operands
+/// of a commutative add, so the same sum can come out `+NaN` in one
+/// function and `-NaN` in another. Returning one fixed NaN keeps every
+/// kernel equal to its scalar reference bit for bit, and a NaN distance
+/// ranks the same on every path.
+pub const CANONICAL_NAN: f64 = f64::from_bits(0x7ff8_0000_0000_0000);
+
+/// `x`, with every NaN replaced by [`CANONICAL_NAN`].
+#[inline]
+fn canonical(x: f64) -> f64 {
+    if x.is_nan() {
+        CANONICAL_NAN
+    } else {
+        x
+    }
 }
 
-/// Squared Euclidean distance between equal-length slices.
+/// Rows per block of the candidate-blocked kernels ([`sq_dists`],
+/// [`Matrix::dot_rows`]): each block runs this many independent
+/// accumulators side by side.
+const BLOCK: usize = 4;
+
+/// Squared Euclidean distances from `q` to every row of a row-major block:
+/// `out[i] = sq_dist(row_i, q)` bit for bit, where `row_i` is
+/// `rows[i * d..(i + 1) * d]` and `d = q.len()`.
+///
+/// The kernel blocks over candidates, not over dimensions: it runs
+/// four rows at a time as independent accumulators, and each row's
+/// sum still adds its terms in column order starting from `-0.0` (where
+/// `Iterator::sum` over `f64` starts), so no sum is re-associated. A
+/// zero-width row therefore gets `-0.0`, as [`sq_dist`] gives it, and a
+/// NaN sum gets [`CANONICAL_NAN`].
+///
+/// # Panics
+///
+/// When `rows.len() != out.len() * q.len()`.
+pub fn sq_dists(rows: &[f64], q: &[f64], out: &mut [f64]) {
+    let d = q.len();
+    assert_eq!(
+        rows.len(),
+        out.len() * d,
+        "sq_dists: {} values for {} rows of width {d}",
+        rows.len(),
+        out.len()
+    );
+    let n = out.len();
+    let full = n - n % BLOCK;
+    for i in (0..full).step_by(BLOCK) {
+        let (r0, rest) = rows[i * d..(i + BLOCK) * d].split_at(d);
+        let (r1, rest) = rest.split_at(d);
+        let (r2, r3) = rest.split_at(d);
+        let mut acc = [-0.0f64; BLOCK];
+        for ((((&y, &a), &b), &c), &e) in q.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            let (t0, t1, t2, t3) = (a - y, b - y, c - y, e - y);
+            acc[0] += t0 * t0;
+            acc[1] += t1 * t1;
+            acc[2] += t2 * t2;
+            acc[3] += t3 * t3;
+        }
+        for (o, a) in out[i..i + BLOCK].iter_mut().zip(acc) {
+            *o = canonical(a);
+        }
+    }
+    for i in full..n {
+        out[i] = sq_dist(&rows[i * d..(i + 1) * d], q);
+    }
+}
+
+/// Dot product of equal-length slices. A NaN result is
+/// [`CANONICAL_NAN`].
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    canonical(a.iter().zip(b).map(|(x, y)| x * y).sum())
+}
+
+/// Squared Euclidean distance between equal-length slices. A NaN result
+/// is [`CANONICAL_NAN`].
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    canonical(a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum())
 }
 
 #[cfg(test)]

@@ -21,6 +21,19 @@
 //! single brute-force leaf. Spread-based selection only stops splitting
 //! when *every* axis is constant — i.e. all remaining points coincide.
 //!
+//! # Layout
+//!
+//! Building borrows the caller's matrix and gathers its rows once, into
+//! leaf order: each leaf is a contiguous `start..end` range of the tree's
+//! own row-major buffer, and the NaN rows form a tail range after the last
+//! leaf. `ids` maps every gathered row back to its original index, which
+//! is the index every point is offered under. Leaf ranges are scanned with
+//! the candidate-blocked [`sq_dists`] kernel, which equals
+//! [`sq_dist`](crate::matrix::sq_dist) bit for bit. Partitions split with
+//! a selection on the same `(value, index)` order a full sort would use,
+//! so the partitions, the thresholds and hence the pruning are those of a
+//! sorted median split.
+//!
 //! # Observability
 //!
 //! Building records a `kdtree.build` span (point count, dimensions, and
@@ -30,14 +43,19 @@
 //! power of the index. All instrumentation is observational and free when
 //! `NDE_TRACE` is off.
 
-use crate::matrix::{sq_dist, Matrix};
-use nde_parallel::neighbor_order::KNearest;
+use crate::matrix::{sq_dists, Matrix};
+use nde_parallel::neighbor_order::{from_order_key, order_key, KNearest};
+use std::ops::Range;
 
-/// A node: either a leaf of point indices or a split.
+/// Rows per [`sq_dists`] call in a leaf scan: the size of the stack
+/// buffer a query scans through, so a query allocates nothing per leaf.
+const SCAN_ROWS: usize = 32;
+
+/// A node: either a leaf range of the gathered rows or a split.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
-        points: Vec<usize>,
+        rows: Range<usize>,
     },
     Split {
         axis: usize,
@@ -50,33 +68,56 @@ enum Node {
 /// An immutable k-d tree over the rows of a matrix.
 #[derive(Debug, Clone)]
 pub struct KdTree {
-    data: Matrix,
+    /// The indexed rows in leaf order, then the NaN tail.
+    rows: Matrix,
+    /// The original index of each row of `rows`.
+    ids: Vec<usize>,
     root: Node,
-    /// Rows with a NaN cell, offered to every query (see module docs).
-    nan_rows: Vec<usize>,
+    /// Start of the tail of rows with a NaN cell, offered to every query
+    /// (see module docs).
+    nan_start: usize,
     leaf_size: usize,
+}
+
+/// Scratch space reused by every node of one build.
+struct Splitter<'a> {
+    data: &'a Matrix,
+    leaf_size: usize,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    keyed: Vec<(u64, usize)>,
 }
 
 impl KdTree {
     /// Builds a tree over the rows of `data` (median splits on the
     /// widest-spread axis of each partition).
-    pub fn build(data: Matrix) -> Self {
+    pub fn build(data: &Matrix) -> Self {
         Self::with_leaf_size(data, 16)
     }
 
     /// Builds with a custom leaf size (mostly for tests).
-    pub fn with_leaf_size(data: Matrix, leaf_size: usize) -> Self {
+    pub fn with_leaf_size(data: &Matrix, leaf_size: usize) -> Self {
         let leaf_size = leaf_size.max(1);
         let mut span = nde_trace::span("kdtree.build");
         span.field("n", data.nrows());
         span.field("dims", data.ncols());
-        let (indices, nan_rows): (Vec<usize>, Vec<usize>) =
+        let (mut ids, nan_rows): (Vec<usize>, Vec<usize>) =
             (0..data.nrows()).partition(|&i| !data.row(i).iter().any(|v| v.is_nan()));
-        let root = build_node(&data, indices, leaf_size);
-        let tree = KdTree {
+        let nan_start = ids.len();
+        let mut splitter = Splitter {
             data,
+            leaf_size,
+            lo: vec![0.0; data.ncols()],
+            hi: vec![0.0; data.ncols()],
+            keyed: Vec::with_capacity(nan_start),
+        };
+        let root = splitter.node(&mut ids, 0);
+        ids.extend(nan_rows);
+        let tree = KdTree {
+            rows: data.take_rows(&ids),
+            ids,
             root,
-            nan_rows,
+            nan_start,
             leaf_size,
         };
         span.field("depth", tree.depth());
@@ -86,12 +127,12 @@ impl KdTree {
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.data.nrows()
+        self.ids.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.nrows() == 0
+        self.ids.is_empty()
     }
 
     /// The configured leaf size.
@@ -136,102 +177,152 @@ impl KdTree {
 
     /// [`KdTree::nearest`], returning `(squared distance, index)` pairs —
     /// the entry shape of the workspace's neighbor caches.
+    ///
+    /// # Panics
+    ///
+    /// When `query` is not as wide as the indexed rows.
     pub fn nearest_with_distances(&self, query: &[f64], k: usize) -> Vec<(f64, usize)> {
-        if self.is_empty() || k == 0 {
-            return Vec::new();
-        }
+        self.select(query, k).into_sorted()
+    }
+
+    /// How many points a query for the `k` nearest to `query` scans: what
+    /// it adds to `kdtree.points_scanned`.
+    pub fn points_scanned(&self, query: &[f64], k: usize) -> usize {
+        self.select(query, k).offered()
+    }
+
+    fn select(&self, query: &[f64], k: usize) -> KNearest {
         let mut best = KNearest::new(k.min(self.len()));
-        for &i in &self.nan_rows {
-            best.offer(sq_dist(self.data.row(i), query), i);
+        if self.is_empty() || k == 0 {
+            return best;
         }
-        search(&self.data, &self.root, query, &mut best);
+        let mut dists = [0.0f64; SCAN_ROWS];
+        self.scan(self.nan_start..self.len(), query, &mut best, &mut dists);
+        self.search(&self.root, query, &mut best, &mut dists);
         if nde_trace::enabled() {
             nde_trace::counter("kdtree.query").incr();
             nde_trace::counter("kdtree.points_scanned").add(best.offered() as u64);
         }
-        best.into_sorted()
+        best
     }
-}
 
-/// The axis with the largest value spread (max − min) across `indices`,
-/// or `None` when every axis is constant (all points coincide). Ties go to
-/// the lowest axis index, keeping builds deterministic.
-fn widest_spread_axis(data: &Matrix, indices: &[usize]) -> Option<usize> {
-    let mut best: Option<(f64, usize)> = None;
-    for axis in 0..data.ncols() {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &i in indices {
-            let v = data.get(i, axis);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let spread = hi - lo;
-        if spread > 0.0 && best.is_none_or(|(s, _)| spread > s) {
-            best = Some((spread, axis));
-        }
-    }
-    best.map(|(_, axis)| axis)
-}
-
-fn build_node(data: &Matrix, mut indices: Vec<usize>, leaf_size: usize) -> Node {
-    if indices.len() <= leaf_size || data.ncols() == 0 {
-        return Node::Leaf { points: indices };
-    }
-    // Pick the axis that actually discriminates this partition. Cycling
-    // axes (`depth % ncols`) degenerates on real encoded data: the moment
-    // the cycling axis is constant — every one-hot column is, on a
-    // partition of a single category — the whole partition used to
-    // collapse into one giant brute-force leaf even though other axes
-    // still discriminate.
-    let Some(axis) = widest_spread_axis(data, &indices) else {
-        // All points identical; nothing any axis can split.
-        return Node::Leaf { points: indices };
-    };
-    indices.sort_by(|&a, &b| {
-        data.get(a, axis)
-            .total_cmp(&data.get(b, axis))
-            .then(a.cmp(&b))
-    });
-    let mid = indices.len() / 2;
-    let threshold = data.get(indices[mid], axis);
-    let right: Vec<usize> = indices.split_off(mid);
-    Node::Split {
-        axis,
-        threshold,
-        left: Box::new(build_node(data, indices, leaf_size)),
-        right: Box::new(build_node(data, right, leaf_size)),
-    }
-}
-
-fn search(data: &Matrix, node: &Node, query: &[f64], best: &mut KNearest) {
-    match node {
-        Node::Leaf { points } => {
-            for &i in points {
-                best.offer(sq_dist(data.row(i), query), i);
+    /// Offers every row of `range` under its original index.
+    fn scan(
+        &self,
+        range: Range<usize>,
+        query: &[f64],
+        best: &mut KNearest,
+        dists: &mut [f64; SCAN_ROWS],
+    ) {
+        let d = self.rows.ncols();
+        let data = self.rows.data();
+        for start in range.clone().step_by(SCAN_ROWS) {
+            let end = (start + SCAN_ROWS).min(range.end);
+            let dists = &mut dists[..end - start];
+            sq_dists(&data[start * d..end * d], query, dists);
+            for (&dist, &id) in dists.iter().zip(&self.ids[start..end]) {
+                best.offer(dist, id);
             }
         }
+    }
+
+    fn search(
+        &self,
+        node: &Node,
+        query: &[f64],
+        best: &mut KNearest,
+        dists: &mut [f64; SCAN_ROWS],
+    ) {
+        match node {
+            Node::Leaf { rows } => self.scan(rows.clone(), query, best, dists),
+            Node::Split {
+                axis,
+                threshold,
+                left,
+                right,
+            } => {
+                let diff = query[*axis] - threshold;
+                let (near, far) = if diff < 0.0 {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                self.search(near, query, best, dists);
+                // Prune the far side only when even its closest possible
+                // point is provably farther than the current worst
+                // candidate: false for a NaN bound (NaN query coordinate)
+                // and for a NaN or `+∞` worst distance.
+                let provably_farther = diff * diff > best.worst_distance();
+                if !provably_farther {
+                    self.search(far, query, best, dists);
+                }
+            }
+        }
+    }
+}
+
+impl Splitter<'_> {
+    /// The axis with the largest value spread (max − min) across `ids`,
+    /// or `None` when every axis is constant (all points coincide). Ties
+    /// go to the lowest axis index, keeping builds deterministic. One pass
+    /// reads the rows in order; without NaN the spreads do not depend on
+    /// the order of `ids`.
+    fn widest_spread_axis(&mut self, ids: &[usize]) -> Option<usize> {
+        self.lo.fill(f64::INFINITY);
+        self.hi.fill(f64::NEG_INFINITY);
+        for &i in ids {
+            for ((lo, hi), &v) in self.lo.iter_mut().zip(&mut self.hi).zip(self.data.row(i)) {
+                *lo = lo.min(v);
+                *hi = hi.max(v);
+            }
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for (axis, (lo, hi)) in self.lo.iter().zip(&self.hi).enumerate() {
+            let spread = hi - lo;
+            if spread > 0.0 && best.is_none_or(|(s, _)| spread > s) {
+                best = Some((spread, axis));
+            }
+        }
+        best.map(|(_, axis)| axis)
+    }
+
+    /// Builds the subtree over `ids`, which sit at `offset..` in leaf
+    /// order, partitioning `ids` in place.
+    fn node(&mut self, ids: &mut [usize], offset: usize) -> Node {
+        let leaf = |ids: &[usize]| Node::Leaf {
+            rows: offset..offset + ids.len(),
+        };
+        if ids.len() <= self.leaf_size || self.data.ncols() == 0 {
+            return leaf(ids);
+        }
+        // Pick the axis that actually discriminates this partition.
+        // Cycling axes (`depth % ncols`) degenerates on real encoded data:
+        // the moment the cycling axis is constant — every one-hot column
+        // is, on a partition of a single category — the whole partition
+        // used to collapse into one giant brute-force leaf even though
+        // other axes still discriminate.
+        let Some(axis) = self.widest_spread_axis(ids) else {
+            // All points identical; nothing any axis can split.
+            return leaf(ids);
+        };
+        // Median split under the `(value, index)` order, on integer keys
+        // that rank as `total_cmp`. Selection puts the same points on each
+        // side as a full sort would.
+        let mid = ids.len() / 2;
+        self.keyed.clear();
+        self.keyed
+            .extend(ids.iter().map(|&i| (order_key(self.data.get(i, axis)), i)));
+        self.keyed.select_nth_unstable(mid);
+        let threshold = from_order_key(self.keyed[mid].0);
+        for (id, &(_, i)) in ids.iter_mut().zip(&self.keyed) {
+            *id = i;
+        }
+        let (left, right) = ids.split_at_mut(mid);
         Node::Split {
             axis,
             threshold,
-            left,
-            right,
-        } => {
-            let diff = query[*axis] - threshold;
-            let (near, far) = if diff < 0.0 {
-                (left, right)
-            } else {
-                (right, left)
-            };
-            search(data, near, query, best);
-            // Prune the far side only when even its closest possible point
-            // is provably farther than the current worst candidate: false
-            // for a NaN bound (NaN query coordinate) and for a NaN or `+∞`
-            // worst distance.
-            let provably_farther = diff * diff > best.worst_distance();
-            if !provably_farther {
-                search(data, far, query, best);
-            }
+            left: Box::new(self.node(left, offset)),
+            right: Box::new(self.node(right, offset + mid)),
         }
     }
 }
@@ -239,6 +330,7 @@ fn search(data: &Matrix, node: &Node, query: &[f64], best: &mut KNearest) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::sq_dist;
 
     fn brute_force(data: &Matrix, query: &[f64], k: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..data.nrows()).collect();
@@ -281,7 +373,7 @@ mod tests {
     #[test]
     fn matches_brute_force_exactly() {
         let data = grid_data(300, 3);
-        let tree = KdTree::with_leaf_size(data.clone(), 4);
+        let tree = KdTree::with_leaf_size(&data, 4);
         for qi in 0..20 {
             let query: Vec<f64> = vec![qi as f64, (qi * 2) as f64 % 13.0, 3.5];
             for k in [1usize, 3, 10] {
@@ -298,14 +390,14 @@ mod tests {
     fn handles_duplicate_points_with_index_tiebreak() {
         let rows = vec![vec![1.0, 1.0]; 10];
         let data = Matrix::from_rows(&rows).unwrap();
-        let tree = KdTree::with_leaf_size(data, 2);
+        let tree = KdTree::with_leaf_size(&data, 2);
         assert_eq!(tree.nearest(&[1.0, 1.0], 3), vec![0, 1, 2]);
     }
 
     #[test]
     fn all_identical_points_collapse_to_one_leaf() {
         let rows = vec![vec![2.0, 3.0]; 40];
-        let tree = KdTree::with_leaf_size(Matrix::from_rows(&rows).unwrap(), 4);
+        let tree = KdTree::with_leaf_size(&Matrix::from_rows(&rows).unwrap(), 4);
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.n_leaves(), 1);
     }
@@ -316,7 +408,7 @@ mod tests {
         // have bailed into a single leaf at the root.
         let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![7.0, i as f64]).collect();
         let data = Matrix::from_rows(&rows).unwrap();
-        let tree = KdTree::with_leaf_size(data.clone(), 4);
+        let tree = KdTree::with_leaf_size(&data, 4);
         assert!(tree.depth() >= 3, "depth {}", tree.depth());
         assert!(tree.n_leaves() >= 8, "leaves {}", tree.n_leaves());
         assert_eq!(
@@ -332,7 +424,7 @@ mod tests {
         // single 256-point leaf; spread-based selection must keep the
         // leaves near leaf_size and still agree with brute force.
         let data = one_hot_data(256, 4);
-        let tree = KdTree::with_leaf_size(data.clone(), 8);
+        let tree = KdTree::with_leaf_size(&data, 8);
         assert!(tree.depth() >= 4, "depth {}", tree.depth());
         assert!(
             tree.n_leaves() >= 256 / 8 / 2,
@@ -358,7 +450,7 @@ mod tests {
     #[test]
     fn nearest_with_distances_reports_squared_distances() {
         let data = grid_data(50, 2);
-        let tree = KdTree::with_leaf_size(data.clone(), 4);
+        let tree = KdTree::with_leaf_size(&data, 4);
         let query = [1.0, 2.0];
         for (d, i) in tree.nearest_with_distances(&query, 5) {
             assert_eq!(d, sq_dist(data.row(i), &query));
@@ -368,7 +460,7 @@ mod tests {
     #[test]
     fn k_exceeding_size_returns_everything() {
         let data = grid_data(5, 2);
-        let tree = KdTree::build(data.clone());
+        let tree = KdTree::build(&data);
         let all = tree.nearest(&[0.0, 0.0], 100);
         assert_eq!(all.len(), 5);
         assert_eq!(all, brute_force(&data, &[0.0, 0.0], 100));
@@ -376,17 +468,17 @@ mod tests {
 
     #[test]
     fn empty_and_zero_k() {
-        let tree = KdTree::build(Matrix::zeros(0, 2));
+        let tree = KdTree::build(&Matrix::zeros(0, 2));
         assert!(tree.nearest(&[0.0, 0.0], 3).is_empty());
         assert!(tree.is_empty());
-        let tree = KdTree::build(grid_data(5, 2));
+        let tree = KdTree::build(&grid_data(5, 2));
         assert!(tree.nearest(&[0.0, 0.0], 0).is_empty());
     }
 
     #[test]
     fn single_dimension_and_single_point() {
         let data = Matrix::from_rows(&[vec![5.0]]).unwrap();
-        let tree = KdTree::build(data);
+        let tree = KdTree::build(&data);
         assert_eq!(tree.nearest(&[0.0], 1), vec![0]);
     }
 
@@ -399,7 +491,7 @@ mod tests {
             .map(|i| vec![((i * 7) % 31) as f64, ((i * 13) % 17) as f64])
             .collect();
         let data = Matrix::from_rows(&rows).unwrap();
-        let tree = KdTree::build(data.clone());
+        let tree = KdTree::build(&data);
         let query = [f64::NAN, 3.0];
         assert_eq!(tree.nearest(&query, 5), brute_force(&data, &query, 5));
     }
@@ -407,7 +499,7 @@ mod tests {
     #[test]
     fn high_dimension_queries() {
         let data = grid_data(200, 16);
-        let tree = KdTree::with_leaf_size(data.clone(), 8);
+        let tree = KdTree::with_leaf_size(&data, 8);
         let query = vec![3.0; 16];
         assert_eq!(tree.nearest(&query, 7), brute_force(&data, &query, 7));
     }

@@ -37,7 +37,7 @@ impl Learner for KnnClassifier {
             return Ok(Box::new(ConstantModel::new(0, data.n_classes)));
         }
         Ok(Box::new(FittedKnn {
-            index: KdTree::build(data.x.clone()),
+            index: KdTree::build(&data.x),
             y: data.y.clone(),
             n_classes: data.n_classes,
             k: self.k,
@@ -191,7 +191,7 @@ mod tests {
     /// reach `neighbors`.
     fn fit_concrete(data: &ClassDataset, k: usize) -> FittedKnn {
         FittedKnn {
-            index: KdTree::build(data.x.clone()),
+            index: KdTree::build(&data.x),
             y: data.y.clone(),
             n_classes: data.n_classes,
             k,

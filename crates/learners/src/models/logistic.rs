@@ -42,10 +42,22 @@ impl Default for LogisticRegression {
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
+    let mut probs = vec![0.0; logits.len()];
+    softmax_into(logits, &mut probs);
+    probs
+}
+
+/// [`softmax`] into a caller-owned buffer of the same length, bit for bit.
+pub fn softmax_into(logits: &[f64], probs: &mut [f64]) {
+    debug_assert_eq!(logits.len(), probs.len());
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&z| (z - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for (p, &z) in probs.iter_mut().zip(logits) {
+        *p = (z - max).exp();
+    }
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
 }
 
 impl Learner for LogisticRegression {

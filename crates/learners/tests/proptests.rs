@@ -67,7 +67,7 @@ fn bits(neighbors: &[(f64, usize)]) -> Vec<(u64, usize)> {
 fn assert_matches_oracle(rows: &[Vec<f64>], leaf_size: usize, queries: &[Vec<f64>], k: usize) {
     let x = Matrix::from_rows(rows).unwrap();
     let y: Vec<usize> = (0..rows.len()).map(|i| i % 3).collect();
-    let tree = KdTree::with_leaf_size(x.clone(), leaf_size);
+    let tree = KdTree::with_leaf_size(&x, leaf_size);
     let model = KnnClassifier::new(k)
         .fit(&ClassDataset::new(x.clone(), y.clone(), 3).unwrap())
         .unwrap();
@@ -154,7 +154,7 @@ proptest! {
         cats in prop::collection::vec(0usize..4, 16..64),
     ) {
         let rows: Vec<Vec<f64>> = cats.iter().map(|&c| encoded_row(c, 0)).collect();
-        let tree = KdTree::with_leaf_size(Matrix::from_rows(&rows).unwrap(), 4);
+        let tree = KdTree::with_leaf_size(&Matrix::from_rows(&rows).unwrap(), 4);
         let distinct = cats.iter().collect::<std::collections::HashSet<_>>().len();
         if distinct > 1 {
             prop_assert!(tree.depth() >= 1, "tree degenerated to one leaf");

@@ -9,7 +9,9 @@
 //! direct paths agree bit-for-bit.
 //!
 //! - [`rank_all`] orders every candidate (exact KNN-Shapley needs each
-//!   training row's rank), computing each distance exactly once.
+//!   training row's rank), computing each distance exactly once. It sorts
+//!   integer keys ([`order_key`]) whose unsigned order is the `total_cmp`
+//!   order, then maps them back to the exact distances.
 //! - [`KNearest`] keeps only the `k` nearest of a stream of offers, with an
 //!   O(1) early reject once full; [`k_nearest`] runs it over a brute-force
 //!   scan.
@@ -27,18 +29,50 @@ pub fn cmp<I: Ord>(a: &(f64, I), b: &(f64, I)) -> Ordering {
     a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
 }
 
+/// An integer key whose unsigned order is [`f64::total_cmp`] order:
+/// negative values (sign bit set) flip every bit, so larger magnitudes rank
+/// first, and the rest set the sign bit, so they rank after every negative.
+/// Distinct bit patterns get distinct keys; [`from_order_key`] inverts it.
+pub fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The `f64` whose [`order_key`] is `key`, bit for bit.
+pub fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
 /// All candidates `0..n` as `(distance, index)` pairs in neighbor order.
 /// `dist(i)` is called exactly once per candidate.
+///
+/// It sorts `(order_key(distance), index)` pairs packed into one `u128`
+/// (key in the high 64 bits), which rank exactly as [`cmp`] ranks
+/// `(distance, index)`, and maps each key back to its distance's exact
+/// bits.
 pub fn rank_all(n: usize, dist: impl Fn(usize) -> f64) -> Vec<(f64, u32)> {
     assert!(
         n <= u32::MAX as usize,
         "too many candidates for u32 indices"
     );
-    let mut ranked: Vec<(f64, u32)> = (0..n).map(|i| (dist(i), i as u32)).collect();
+    let mut keyed: Vec<u128> = (0..n)
+        .map(|i| u128::from(order_key(dist(i))) << 32 | i as u128)
+        .collect();
     // Indices are distinct, so no two keys are equal and the unstable sort
     // is deterministic.
-    ranked.sort_unstable_by(cmp);
-    ranked
+    keyed.sort_unstable();
+    keyed
+        .into_iter()
+        .map(|key| (from_order_key((key >> 32) as u64), key as u32))
+        .collect()
 }
 
 /// A bounded selector of the `k` nearest `(distance, index)` offers, kept

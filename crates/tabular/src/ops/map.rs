@@ -10,6 +10,10 @@ use crate::Result;
 impl Table {
     /// Adds (or replaces) a column computed row-wise by `f`.
     ///
+    /// The new column is always the last one: a replaced column moves to
+    /// the end of the schema, unlike [`Table::map_column`], which keeps its
+    /// position. Plan outputs' column order depends on this.
+    ///
     /// The column's type is inferred from the first non-null value that `f`
     /// returns; mixed-type outputs are a [`crate::TableError::TypeMismatch`].
     pub fn with_column<F>(&self, name: &str, f: F) -> Result<Table>
@@ -78,6 +82,8 @@ mod tests {
             .unwrap();
         assert_eq!(t.get(1, "id").unwrap(), Value::Int(20));
         assert_eq!(t.num_columns(), 2);
+        // The replaced column moves to the end of the schema.
+        assert_eq!(t.schema().names(), vec!["twitter", "id"]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use nde_datagen::{HiringConfig, HiringScenario};
 use nde_importance::knn_shapley::{build_topk_cache, knn_shapley};
 use nde_importance::semivalue::{banzhaf_msr, tmc_shapley, McConfig};
 use nde_importance::utility::{ModelUtility, UtilityMetric};
+use nde_importance::{aum_scores, confident_learning, AumConfig, ConfidentReport};
 use nde_learners::dataset::ClassDataset;
 use nde_learners::matrix::sq_dist;
 use nde_learners::models::knn::argmax;
@@ -365,4 +366,232 @@ fn env_driven_entry_points_are_thread_count_invariant() {
         })
         .collect();
     assert_eq!(reference.2, brute, "indexed k-NN diverged from brute force");
+}
+
+/// The 1 300 encoded training rows of [`encode_splits_is_thread_count_invariant`]
+/// with a fifth of the labels flipped.
+fn encoded_train_1300() -> ClassDataset {
+    let s = HiringScenario::generate(&HiringConfig {
+        n_train: 1_300,
+        n_valid: 40,
+        n_test: 0,
+        ..Default::default()
+    });
+    let (dirty, _) = flip_labels(&s.train, "sentiment", 0.2, 11).unwrap();
+    encode_splits(&dirty, &s.valid).unwrap().1
+}
+
+fn report_bits(r: &ConfidentReport) -> (Vec<u64>, Vec<usize>, Vec<Option<usize>>, Vec<u64>) {
+    (
+        r.scores.iter().map(|v| v.to_bits()).collect(),
+        r.flagged.clone(),
+        r.suggested.clone(),
+        r.joint.iter().flatten().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Confident Learning fans each fold's test-row predictions out over fixed
+/// chunks, and AUM computes each epoch's logits with a row-blocked kernel.
+/// Both must be bit-identical for any worker count, and equal to the
+/// serial row-at-a-time reference implementations below.
+#[test]
+fn confident_learning_and_aum_are_thread_count_invariant() {
+    let train = encoded_train_1300();
+    let learner = KnnClassifier::new(5);
+    let cfg = AumConfig::default();
+    let (confident, aum) = sweep_threads(
+        || {
+            (
+                report_bits(&confident_learning(&learner, &train, 5, 17).unwrap()),
+                aum_scores(&train, &cfg),
+            )
+        },
+        |threads, reference, candidate| {
+            assert_eq!(
+                candidate.0, reference.0,
+                "confident_learning changed at {threads} threads"
+            );
+            assert_bit_identical("aum_scores", &reference.1, &candidate.1, threads);
+        },
+    );
+    assert_eq!(
+        confident,
+        report_bits(&serial_reference::confident_learning(
+            &learner, &train, 5, 17
+        )),
+        "confident_learning diverged from the serial reference"
+    );
+    assert_bit_identical(
+        "aum_scores vs serial reference",
+        &serial_reference::aum_scores(&train, &cfg),
+        &aum,
+        1,
+    );
+}
+
+/// Serial, row-at-a-time Confident Learning and AUM: the implementations
+/// before fold predictions fanned out and AUM's logits were blocked.
+mod serial_reference {
+    use nde_importance::{AumConfig, ConfidentReport};
+    use nde_learners::dataset::ClassDataset;
+    use nde_learners::matrix::dot;
+    use nde_learners::traits::Learner;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::collections::HashSet;
+
+    fn softmax(logits: &[f64]) -> Vec<f64> {
+        let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = logits.iter().map(|&z| (z - max).exp()).collect();
+        let sum: f64 = exps.iter().sum();
+        exps.into_iter().map(|e| e / sum).collect()
+    }
+
+    pub fn aum_scores(data: &ClassDataset, cfg: &AumConfig) -> Vec<f64> {
+        let (n, d, c) = (data.len(), data.n_features(), data.n_classes);
+        let mut w = vec![0.0f64; c * d];
+        let mut b = vec![0.0f64; c];
+        let inv_n = 1.0 / n as f64;
+        let mut margin_sum = vec![0.0f64; n];
+        let mut grad_w = vec![0.0f64; c * d];
+        let mut grad_b = vec![0.0f64; c];
+        for _ in 0..cfg.epochs {
+            grad_w.iter_mut().for_each(|g| *g = 0.0);
+            grad_b.iter_mut().for_each(|g| *g = 0.0);
+            for (i, ms) in margin_sum.iter_mut().enumerate() {
+                let xi = data.x.row(i);
+                let logits: Vec<f64> = (0..c)
+                    .map(|k| dot(&w[k * d..(k + 1) * d], xi) + b[k])
+                    .collect();
+                let yi = data.y[i];
+                let best_other = logits
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != yi)
+                    .map(|(_, &z)| z)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                *ms += logits[yi] - best_other;
+                let probs = softmax(&logits);
+                for k in 0..c {
+                    let err = probs[k] - f64::from(u8::from(yi == k));
+                    grad_b[k] += err;
+                    for (g, &x) in grad_w[k * d..(k + 1) * d].iter_mut().zip(xi) {
+                        *g += err * x;
+                    }
+                }
+            }
+            for k in 0..c {
+                b[k] -= cfg.learning_rate * grad_b[k] * inv_n;
+                for (wj, &gj) in w[k * d..(k + 1) * d]
+                    .iter_mut()
+                    .zip(&grad_w[k * d..(k + 1) * d])
+                {
+                    *wj -= cfg.learning_rate * (gj * inv_n + cfg.l2 * *wj);
+                }
+            }
+        }
+        margin_sum
+            .iter_mut()
+            .for_each(|m| *m /= cfg.epochs.max(1) as f64);
+        margin_sum
+    }
+
+    pub fn confident_learning(
+        learner: &dyn Learner,
+        data: &ClassDataset,
+        folds: usize,
+        seed: u64,
+    ) -> ConfidentReport {
+        let n = data.len();
+        let c = data.n_classes;
+        let mut probs = vec![vec![0.0f64; c]; n];
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        for f in 0..folds {
+            let test: Vec<usize> = idx.iter().copied().skip(f).step_by(folds).collect();
+            let test_set: HashSet<usize> = test.iter().copied().collect();
+            let train: Vec<usize> = idx
+                .iter()
+                .copied()
+                .filter(|i| !test_set.contains(i))
+                .collect();
+            let model = learner.fit(&data.subset(&train)).unwrap();
+            for &i in &test {
+                probs[i] = model.predict_proba(data.x.row(i));
+            }
+        }
+        let mut thresholds = vec![0.0f64; c];
+        let mut counts = vec![0usize; c];
+        for (p, &y) in probs.iter().zip(&data.y) {
+            thresholds[y] += p[y];
+            counts[y] += 1;
+        }
+        for k in 0..c {
+            thresholds[k] = if counts[k] > 0 {
+                thresholds[k] / counts[k] as f64
+            } else {
+                f64::INFINITY
+            };
+        }
+        let mut joint_counts = vec![vec![0usize; c]; c];
+        let mut suspect_of: Vec<Option<usize>> = vec![None; n];
+        for i in 0..n {
+            let above: Vec<usize> = (0..c).filter(|&k| probs[i][k] >= thresholds[k]).collect();
+            let Some(&kstar) = above
+                .iter()
+                .max_by(|&&a, &&b| probs[i][a].total_cmp(&probs[i][b]).then(b.cmp(&a)))
+            else {
+                continue;
+            };
+            joint_counts[data.y[i]][kstar] += 1;
+            if kstar != data.y[i] {
+                suspect_of[i] = Some(kstar);
+            }
+        }
+        let total: usize = joint_counts.iter().flatten().sum();
+        let joint: Vec<Vec<f64>> = joint_counts
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&v| {
+                        if total > 0 {
+                            v as f64 / total as f64
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let n_errors: usize = (0..c)
+            .flat_map(|a| (0..c).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| joint_counts[a][b])
+            .sum();
+        let mut candidates: Vec<usize> = (0..n).filter(|&i| suspect_of[i].is_some()).collect();
+        candidates.sort_by(|&a, &b| {
+            probs[a][data.y[a]]
+                .total_cmp(&probs[b][data.y[b]])
+                .then(a.cmp(&b))
+        });
+        candidates.truncate(n_errors);
+        let flagged: HashSet<usize> = candidates.iter().copied().collect();
+        ConfidentReport {
+            scores: (0..n)
+                .map(|i| {
+                    let self_conf = probs[i][data.y[i]];
+                    if flagged.contains(&i) {
+                        self_conf
+                    } else {
+                        self_conf + 1.0
+                    }
+                })
+                .collect(),
+            suggested: (0..n)
+                .map(|i| suspect_of[i].filter(|_| flagged.contains(&i)))
+                .collect(),
+            flagged: candidates,
+            joint,
+        }
+    }
 }
