@@ -5,6 +5,7 @@
 //! Learning, AUM), and CPClean certainty checks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nde_core::pipeline_scenario::{figure3_plan_fuzzy, pipeline_sources};
 use nde_core::scenario::standard_encoder;
 use nde_datagen::{HiringConfig, HiringScenario};
 use nde_importance::knn_shapley::knn_shapley;
@@ -14,7 +15,8 @@ use nde_learners::dataset::ClassDataset;
 use nde_learners::KnnClassifier;
 use nde_learners::Matrix;
 use nde_pipeline::exec::sources;
-use nde_pipeline::Plan;
+use nde_pipeline::whatif::{delete_source_rows, insert_source_rows};
+use nde_pipeline::{Plan, Sources, TracedTable};
 use nde_tabular::Table;
 use nde_uncertain::cpclean::{certain_prediction, IncompleteDataset};
 use nde_uncertain::incomplete::IncompleteMatrix;
@@ -291,6 +293,52 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `debug` inputs: 20 000 letters (plus one 50-letter batch to insert)
+/// and the fuzzy Figure-3 plan's traced output over them (~8 000 rows).
+fn whatif_inputs() -> (Plan, Sources, Table, TracedTable) {
+    let n = 20_000;
+    let scenario = HiringScenario::generate(&HiringConfig {
+        n_train: n + 50,
+        n_valid: 0,
+        n_test: 0,
+        ..Default::default()
+    });
+    let letters = scenario.train.take(&(0..n).collect::<Vec<_>>()).unwrap();
+    let batch = scenario
+        .train
+        .take(&(n..n + 50).collect::<Vec<_>>())
+        .unwrap();
+    let plan = figure3_plan_fuzzy();
+    let srcs = pipeline_sources(&scenario, letters);
+    let traced = plan.run_traced(&srcs).unwrap();
+    (plan, srcs, batch, traced)
+}
+
+fn bench_whatif(c: &mut Criterion) {
+    let (plan, srcs, batch, traced) = whatif_inputs();
+    let rows: Vec<usize> = (0..50).map(|i| i * 397 % 20_000).collect();
+    let mut group = c.benchmark_group("whatif");
+    group.sample_size(10);
+    group.bench_function("delete_8k", |b| {
+        b.iter(|| delete_source_rows(&traced, "train_df", &rows).unwrap())
+    });
+    group.bench_function("insert_50", |b| {
+        b.iter(|| insert_source_rows(&plan, &srcs, "train_df", &batch).unwrap())
+    });
+    group.finish();
+}
+
+fn bench_quality_profile(c: &mut Criterion) {
+    let (_, srcs, _, _) = whatif_inputs();
+    let letters = &srcs["train_df"];
+    let mut group = c.benchmark_group("quality");
+    group.sample_size(10);
+    group.bench_function("profile_letters_20k", |b| {
+        b.iter(|| letters.quality_profile())
+    });
+    group.finish();
+}
+
 fn bench_cpclean(c: &mut Criterion) {
     let mut group = c.benchmark_group("cpclean_certainty");
     group.sample_size(10);
@@ -325,6 +373,8 @@ criterion_group!(
     bench_zorro,
     bench_kdtree,
     bench_identify,
+    bench_whatif,
+    bench_quality_profile,
     bench_cpclean
 );
 criterion_main!(benches);

@@ -25,8 +25,8 @@ pub fn flip_labels(
             expected: nde_tabular::DataType::Str,
             found: col.dtype().to_string(),
         })?;
-    let mut vocab: Vec<String> = cells.iter().flatten().cloned().collect();
-    vocab.sort();
+    let mut vocab: Vec<&str> = cells.iter().flatten().map(|s| &**s).collect();
+    vocab.sort_unstable();
     vocab.dedup();
     if vocab.len() < 2 {
         // A single observed label has no "different label" to flip to.
@@ -53,10 +53,10 @@ pub fn flip_labels(
         // Deterministic "next label in vocabulary" flip.
         let pos = vocab
             .iter()
-            .position(|v| v == current)
+            .position(|&v| v == current)
             .expect("vocab is observed");
-        let replacement = vocab[(pos + 1) % vocab.len()].clone();
-        out.set(i, label_col, Value::Str(replacement))?;
+        let replacement = vocab[(pos + 1) % vocab.len()];
+        out.set(i, label_col, Value::from(replacement))?;
     }
     Ok((
         out,

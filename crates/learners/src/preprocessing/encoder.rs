@@ -4,6 +4,7 @@
 //! provenance: output row `i` of the encoder comes from input row `i`).
 
 use nde_tabular::Table;
+use std::sync::Arc;
 
 use crate::dataset::ClassDataset;
 use crate::matrix::Matrix;
@@ -166,9 +167,10 @@ impl TableEncoder {
             }
         }
         let labels = label_strings(table, &self.label)?;
-        let mut classes: Vec<String> = labels.iter().flatten().cloned().collect();
-        classes.sort();
+        let mut classes: Vec<&str> = labels.iter().flatten().map(|s| &**s).collect();
+        classes.sort_unstable();
         classes.dedup();
+        let classes: Vec<String> = classes.into_iter().map(str::to_owned).collect();
         if classes.is_empty() {
             return Err(LearnError::Encoding {
                 detail: format!("label column {:?} has no non-null values", self.label),
@@ -190,7 +192,7 @@ impl TableEncoder {
     }
 }
 
-fn label_strings<'t>(table: &'t Table, label: &str) -> Result<&'t [Option<String>]> {
+fn label_strings<'t>(table: &'t Table, label: &str) -> Result<&'t [Option<Arc<str>>]> {
     let col = table.column(label).map_err(|e| LearnError::Encoding {
         detail: e.to_string(),
     })?;

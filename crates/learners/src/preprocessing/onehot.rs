@@ -21,9 +21,10 @@ impl OneHotEncoder {
         let cells = col.as_str().ok_or_else(|| LearnError::Encoding {
             detail: format!("one-hot column {column:?} must be a string column"),
         })?;
-        let mut categories: Vec<String> = cells.iter().flatten().cloned().collect();
-        categories.sort();
+        let mut categories: Vec<&str> = cells.iter().flatten().map(|s| &**s).collect();
+        categories.sort_unstable();
         categories.dedup();
+        let categories = categories.into_iter().map(str::to_owned).collect();
         Ok(OneHotEncoder { categories })
     }
 

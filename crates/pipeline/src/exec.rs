@@ -3,6 +3,11 @@
 //! carries one provenance [`Monomial`] per row and opens a span per
 //! operator. Tables share their column buffers, so reading a source,
 //! projecting it or adding a column copies no cells.
+//!
+//! A source's lineage, "row `i` of source `s`", is implicit: joins build
+//! monomials only for their output rows, filters and null drops gather
+//! only the kept rows, and only `Concat` and the final [`TracedTable`]
+//! write one monomial per source row.
 
 use crate::plan::{Node, Plan, PlanJoin};
 use crate::provenance::{Monomial, ProvToken};
@@ -102,7 +107,7 @@ impl Plan {
         record_final_profile(&self.node, &table);
         Ok(TracedTable {
             table,
-            lineage: lineage.unwrap_or_default(),
+            lineage: lineage.map(Lineage::into_monomials).unwrap_or_default(),
             source_names: walk.source_names,
         })
     }
@@ -150,15 +155,78 @@ fn record_op_profile(node: &Node, table: &Table) {
     }
 }
 
-/// Per-row lineage, present only on traced runs.
-type Lineage = Option<Vec<Monomial>>;
+/// The lineage of one operator's output rows on a traced run.
+enum Lineage {
+    /// Row `i` is row `i` of source `source`, whose table has `rows` rows;
+    /// its monomial `{(source, i)}` is not materialised.
+    Source { source: usize, rows: usize },
+    /// One monomial per row.
+    Rows(Vec<Monomial>),
+}
 
-/// Gathers the lineage of the kept rows by *moving* monomials out of the
-/// input lineage instead of cloning them; each kept index is taken once.
-fn gather_lineage(mut lineage: Vec<Monomial>, kept: &[usize]) -> Vec<Monomial> {
-    kept.iter()
-        .map(|&i| std::mem::take(&mut lineage[i]))
-        .collect()
+impl Lineage {
+    /// Calls `f` with the sorted tokens of row `i`.
+    fn with_tokens<R>(&self, i: usize, f: impl FnOnce(&[ProvToken]) -> R) -> R {
+        match self {
+            Lineage::Source { source, .. } => f(&[ProvToken::new(*source, i)]),
+            Lineage::Rows(rows) => f(rows[i].tokens()),
+        }
+    }
+
+    /// The monomial of row `i`.
+    fn monomial(&self, i: usize) -> Monomial {
+        match self {
+            Lineage::Source { source, .. } => Monomial::of(ProvToken::new(*source, i)),
+            Lineage::Rows(rows) => rows[i].clone(),
+        }
+    }
+
+    /// The lineage of a join's output: per `(left, right)` row pair, the
+    /// product of both rows' monomials, or the left row's alone when the
+    /// right side is unmatched.
+    fn join(left: &Lineage, right: &Lineage, trace: &[(usize, Option<usize>)]) -> Lineage {
+        Lineage::Rows(
+            trace
+                .iter()
+                .map(|&(li, rj)| match rj {
+                    Some(rj) => {
+                        left.with_tokens(li, |a| right.with_tokens(rj, |b| Monomial::product(a, b)))
+                    }
+                    None => left.monomial(li),
+                })
+                .collect(),
+        )
+    }
+
+    /// The lineage of the kept rows. Materialised monomials are *moved*
+    /// out, not cloned; each kept index is taken once.
+    fn gather(self, kept: &[usize]) -> Lineage {
+        Lineage::Rows(match self {
+            Lineage::Source { source, .. } => kept
+                .iter()
+                .map(|&i| Monomial::of(ProvToken::new(source, i)))
+                .collect(),
+            Lineage::Rows(mut rows) => kept.iter().map(|&i| std::mem::take(&mut rows[i])).collect(),
+        })
+    }
+
+    /// One monomial per row.
+    fn into_monomials(self) -> Vec<Monomial> {
+        match self {
+            Lineage::Source { source, rows } => (0..rows)
+                .map(|i| Monomial::of(ProvToken::new(source, i)))
+                .collect(),
+            Lineage::Rows(rows) => rows,
+        }
+    }
+
+    /// Total tokens over all rows.
+    fn token_count(&self) -> usize {
+        match self {
+            Lineage::Source { rows, .. } => *rows,
+            Lineage::Rows(rows) => rows.iter().map(|m| m.tokens().len()).sum(),
+        }
+    }
 }
 
 /// The state of one plan walk.
@@ -181,21 +249,20 @@ impl Walk<'_, '_> {
 
     /// Evaluates `node` in post-order: children first, then the operator,
     /// its quality profile and the observer.
-    fn eval(&mut self, node: &Node) -> Result<(Table, Lineage)> {
+    fn eval(&mut self, node: &Node) -> Result<(Table, Option<Lineage>)> {
         // Opened before child evaluation, so operator spans nest into the
         // plan tree. All field computation is gated on the span being live.
         let mut span = self.traced.then(|| nde_trace::span(op_span_name(node)));
         if let Some(span) = span.as_mut().filter(|s| s.is_active()) {
             span.field("op", node.label());
         }
-        let (table, lineage): (Table, Lineage) = match node {
+        let (table, lineage) = match node {
             Node::Source { name } => {
                 let table = lookup_source(self.sources, name)?.clone();
-                let src = self.intern(name);
-                let lineage = self.traced.then(|| {
-                    (0..table.num_rows())
-                        .map(|i| Monomial::of(ProvToken::new(src, i)))
-                        .collect()
+                let source = self.intern(name);
+                let lineage = self.traced.then(|| Lineage::Source {
+                    source,
+                    rows: table.num_rows(),
                 });
                 (table, lineage)
             }
@@ -214,15 +281,7 @@ impl Walk<'_, '_> {
                     JoinType::Left
                 };
                 let (out, trace) = lt.join_traced(&rt, left_key, right_key, jt)?;
-                let lineage = ll.zip(rl).map(|(ll, rl)| {
-                    trace
-                        .iter()
-                        .map(|&(li, rj)| match rj {
-                            Some(rj) => ll[li].times(&rl[rj]),
-                            None => ll[li].clone(),
-                        })
-                        .collect()
-                });
+                let lineage = ll.zip(rl).map(|(ll, rl)| Lineage::join(&ll, &rl, &trace));
                 (out, lineage)
             }
             Node::FuzzyJoin {
@@ -235,21 +294,13 @@ impl Walk<'_, '_> {
                 let (lt, ll) = self.eval(left)?;
                 let (rt, rl) = self.eval(right)?;
                 let (out, trace) = lt.fuzzy_join_traced(&rt, left_key, right_key, *max_distance)?;
-                let lineage = ll.zip(rl).map(|(ll, rl)| {
-                    trace
-                        .iter()
-                        .map(|&(li, rj)| {
-                            let rj = rj.expect("fuzzy join is inner");
-                            ll[li].times(&rl[rj])
-                        })
-                        .collect()
-                });
+                let lineage = ll.zip(rl).map(|(ll, rl)| Lineage::join(&ll, &rl, &trace));
                 (out, lineage)
             }
             Node::Filter { input, pred, .. } => {
                 let (t, l) = self.eval(input)?;
                 let (out, kept) = t.filter_traced(|r| pred(r))?;
-                (out, l.map(|l| gather_lineage(l, &kept)))
+                (out, l.map(|l| l.gather(&kept)))
             }
             Node::WithColumn {
                 input, name, udf, ..
@@ -266,21 +317,22 @@ impl Walk<'_, '_> {
                 let (t, l) = self.eval(input)?;
                 let names: Vec<&str> = columns.iter().map(String::as_str).collect();
                 let (out, kept) = t.drop_nulls_traced(&names)?;
-                (out, l.map(|l| gather_lineage(l, &kept)))
+                (out, l.map(|l| l.gather(&kept)))
             }
             Node::Concat { top, bottom } => {
                 let (tt, tl) = self.eval(top)?;
                 let (bt, bl) = self.eval(bottom)?;
-                let lineage = tl.zip(bl).map(|(mut tl, bl)| {
-                    tl.extend(bl);
-                    tl
+                let lineage = tl.zip(bl).map(|(tl, bl)| {
+                    let mut rows = tl.into_monomials();
+                    rows.extend(bl.into_monomials());
+                    Lineage::Rows(rows)
                 });
                 (tt.concat(&bt)?, lineage)
             }
         };
         if let Some(span) = span.as_mut().filter(|s| s.is_active()) {
             span.field("rows_out", table.num_rows());
-            let lineage_tokens: usize = lineage.iter().flatten().map(|m| m.tokens().len()).sum();
+            let lineage_tokens = lineage.as_ref().map_or(0, Lineage::token_count);
             span.field("lineage_tokens", lineage_tokens);
         }
         record_op_profile(node, &table);

@@ -55,15 +55,16 @@ fn shares(table: &Table, column: &str) -> Option<HashMap<String, f64>> {
     if n == 0 {
         return Some(HashMap::new());
     }
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts: HashMap<&str, usize> = HashMap::new();
     for cell in cells {
-        let key = cell.clone().unwrap_or_else(|| "<null>".to_owned());
-        *counts.entry(key).or_default() += 1;
+        *counts
+            .entry(cell.as_deref().unwrap_or("<null>"))
+            .or_default() += 1;
     }
     Some(
         counts
             .into_iter()
-            .map(|(k, c)| (k, c as f64 / n as f64))
+            .map(|(k, c)| (k.to_owned(), c as f64 / n as f64))
             .collect(),
     )
 }

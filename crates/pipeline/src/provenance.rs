@@ -48,11 +48,33 @@ impl Monomial {
 
     /// The product of two monomials (sorted token-set union).
     pub fn times(&self, other: &Monomial) -> Monomial {
-        let mut tokens = Vec::with_capacity(self.tokens.len() + other.tokens.len());
-        tokens.extend_from_slice(&self.tokens);
-        tokens.extend_from_slice(&other.tokens);
-        tokens.sort_unstable();
-        tokens.dedup();
+        Monomial::product(&self.tokens, &other.tokens)
+    }
+
+    /// The product of two sorted, duplicate-free token lists: one merge
+    /// pass into one allocation.
+    pub(crate) fn product(a: &[ProvToken], b: &[ProvToken]) -> Monomial {
+        let mut tokens = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    tokens.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    tokens.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    tokens.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        tokens.extend_from_slice(&a[i..]);
+        tokens.extend_from_slice(&b[j..]);
         Monomial { tokens }
     }
 
@@ -66,12 +88,6 @@ impl Monomial {
         self.tokens.binary_search(&token).is_ok()
     }
 
-    /// Whether every token satisfies `alive` — i.e. whether the annotated
-    /// row survives under the given source-row assignment.
-    pub fn survives(&self, alive: &dyn Fn(ProvToken) -> bool) -> bool {
-        self.tokens.iter().all(|&t| alive(t))
-    }
-
     /// The tokens belonging to one source table.
     pub fn rows_of_source(&self, source: usize) -> impl Iterator<Item = usize> + '_ {
         self.tokens
@@ -80,22 +96,13 @@ impl Monomial {
             .map(|t| t.row)
     }
 
-    /// A copy of `m` with every token of `source` shifted by `offset` —
-    /// used when a delta batch is appended to a grown source table.
-    pub fn rebase(m: &Monomial, source: usize, offset: usize) -> Monomial {
-        let mut tokens: Vec<ProvToken> = m
-            .tokens
-            .iter()
-            .map(|&t| {
-                if t.source == source {
-                    ProvToken::new(t.source, t.row + offset)
-                } else {
-                    t
-                }
-            })
-            .collect();
-        tokens.sort_unstable();
-        Monomial { tokens }
+    /// Shifts every token of `source` by `offset`, in place — used when a
+    /// delta batch is appended to a grown source table. Tokens sort by
+    /// source first, so the shift keeps them sorted.
+    pub fn shift_source(&mut self, source: usize, offset: usize) {
+        for t in self.tokens.iter_mut().filter(|t| t.source == source) {
+            t.row += offset;
+        }
     }
 }
 
@@ -130,11 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn monomial_survival() {
-        let m = Monomial::of(t(0, 1)).times(&Monomial::of(t(1, 5)));
-        assert!(m.survives(&|_| true));
-        assert!(!m.survives(&|tok| tok != t(1, 5)));
-        assert!(Monomial::one().survives(&|_| false));
+    fn shift_source_moves_one_source_and_keeps_order() {
+        let mut m = Monomial::of(t(0, 1))
+            .times(&Monomial::of(t(1, 5)))
+            .times(&Monomial::of(t(2, 0)));
+        m.shift_source(1, 10);
+        assert_eq!(m.tokens(), &[t(0, 1), t(1, 15), t(2, 0)]);
     }
 
     #[test]

@@ -220,15 +220,16 @@ pub fn validate(
             }
         }
         if let (Some(domain), Some(cells)) = (&exp.domain, col.as_str()) {
-            let mut unseen: Vec<String> = cells
+            let mut unseen: Vec<&str> = cells
                 .iter()
                 .flatten()
-                .filter(|v| !domain.contains(v))
-                .cloned()
+                .map(|v| &**v)
+                .filter(|&v| !domain.iter().any(|d| d == v))
                 .collect();
-            unseen.sort();
+            unseen.sort_unstable();
             unseen.dedup();
             unseen.truncate(10);
+            let unseen: Vec<String> = unseen.into_iter().map(str::to_owned).collect();
             if !unseen.is_empty() {
                 anomalies.push(Anomaly::UnseenCategory {
                     name: exp.name.clone(),

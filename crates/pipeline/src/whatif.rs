@@ -6,7 +6,6 @@
 
 use crate::exec::{lookup_source, Sources, TracedTable};
 use crate::plan::Plan;
-use crate::provenance::{Monomial, ProvToken};
 use crate::{PipelineError, Result};
 use nde_tabular::{Table, Value};
 use std::collections::HashSet;
@@ -23,8 +22,11 @@ pub struct DeletionEffect {
 /// Applies the deletion of `rows` of source `source` to a traced output:
 /// an output row survives iff its monomial references none of the deleted
 /// rows. Exact for monotone plans (source/filter/project/with-column/
-/// join/concat); *not* valid for fuzzy joins, whose closest-match semantics
-/// can re-match after a deletion — re-run the pipeline for those.
+/// inner join/concat); *not* valid for fuzzy joins, whose closest-match
+/// semantics can re-match after a deletion, nor for deleting right-side
+/// rows of a left join, whose left row a re-run keeps with null right
+/// cells — re-run the pipeline for those. Row indices past the source's
+/// end are ignored.
 ///
 /// One schema-level caveat (cell values are always identical to a re-run):
 /// a UDF column whose surviving cells are all null keeps its originally
@@ -41,12 +43,25 @@ pub fn delete_source_rows(
         .ok_or_else(|| PipelineError::UnknownSource {
             name: source.to_owned(),
         })?;
-    let deleted: HashSet<ProvToken> = rows.iter().map(|&r| ProvToken::new(src, r)).collect();
+    // A dense bitmap over the source rows the lineage references: rows
+    // past the largest referenced one feed no output row, so a caller's
+    // index, however large, never sizes an allocation.
+    let referenced = traced
+        .lineage
+        .iter()
+        .filter_map(|m| m.rows_of_source(src).max())
+        .max()
+        .map_or(0, |row| row + 1);
+    let mut deleted = vec![0u64; referenced.div_ceil(64)];
+    for &row in rows.iter().filter(|&&row| row < referenced) {
+        deleted[row / 64] |= 1 << (row % 64);
+    }
+    let is_deleted = |row: usize| deleted[row / 64] >> (row % 64) & 1 == 1;
     let kept: Vec<usize> = traced
         .lineage
         .iter()
         .enumerate()
-        .filter(|(_, m)| m.survives(&|t| !deleted.contains(&t)))
+        .filter(|(_, m)| !m.rows_of_source(src).any(is_deleted))
         .map(|(i, _)| i)
         .collect();
     Ok(DeletionEffect {
@@ -117,7 +132,7 @@ pub fn insert_source_rows(
     // Re-base the delta's provenance onto the grown source table.
     if let Some(src_idx) = delta.source_index(source) {
         for m in &mut delta.lineage {
-            *m = Monomial::rebase(m, src_idx, offset);
+            m.shift_source(src_idx, offset);
         }
     }
     Ok(delta)

@@ -2,7 +2,7 @@
 //! unit the pipeline collects at operator boundaries and `quality_report`
 //! snapshots into `PROFILE_*.json`.
 
-use crate::distinct::DistinctSketch;
+use crate::distinct::{hash_str, DistinctSketch};
 use crate::heavy::HeavyHitters;
 use crate::moments::Moments;
 use crate::quantile::QuantileSketch;
@@ -106,8 +106,10 @@ impl ColumnSketch {
         match value {
             None => self.nulls += 1,
             Some(v) => {
-                self.heavy.push(v);
-                self.distinct.push_str(v);
+                // One hash feeds both sketches.
+                let hash = hash_str(v);
+                self.heavy.push_hashed(v, hash);
+                self.distinct.push_hash(hash);
             }
         }
     }

@@ -3,19 +3,23 @@
 use crate::error::TableError;
 use crate::value::{DataType, Value};
 use crate::Result;
+use std::sync::Arc;
 
 /// A single column: a typed vector with explicit nullability.
 ///
 /// Cells are stored as `Option<T>` in contiguous vectors, so scans over a
 /// column touch contiguous memory and the null mask is carried inline.
+/// String cells are shared, immutable `Arc<str>` buffers: gathering,
+/// appending or joining rows copies a pointer per cell, never the text,
+/// and a `String` is converted once when it enters a column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Integer column.
     Int(Vec<Option<i64>>),
     /// Float column.
     Float(Vec<Option<f64>>),
-    /// String column.
-    Str(Vec<Option<String>>),
+    /// String column; each cell is a shared, immutable buffer.
+    Str(Vec<Option<Arc<str>>>),
     /// Boolean column.
     Bool(Vec<Option<bool>>),
 }
@@ -108,7 +112,9 @@ impl Column {
         match self {
             Column::Int(v) => v[idx].map_or(Value::Null, Value::Int),
             Column::Float(v) => v[idx].map_or(Value::Null, Value::Float),
-            Column::Str(v) => v[idx].clone().map_or(Value::Null, Value::Str),
+            Column::Str(v) => v[idx]
+                .as_deref()
+                .map_or(Value::Null, |s| Value::Str(s.to_owned())),
             Column::Bool(v) => v[idx].map_or(Value::Null, Value::Bool),
         }
     }
@@ -132,7 +138,7 @@ impl Column {
             (Column::Float(v), Value::Float(x)) => v.push(Some(x)),
             (Column::Float(v), Value::Int(x)) => v.push(Some(x as f64)),
             (Column::Float(v), Value::Null) => v.push(None),
-            (Column::Str(v), Value::Str(x)) => v.push(Some(x)),
+            (Column::Str(v), Value::Str(x)) => v.push(Some(x.into())),
             (Column::Str(v), Value::Null) => v.push(None),
             (Column::Bool(v), Value::Bool(x)) => v.push(Some(x)),
             (Column::Bool(v), Value::Null) => v.push(None),
@@ -160,7 +166,7 @@ impl Column {
             (Column::Float(v), Value::Float(x)) => v[idx] = Some(x),
             (Column::Float(v), Value::Int(x)) => v[idx] = Some(x as f64),
             (Column::Float(v), Value::Null) => v[idx] = None,
-            (Column::Str(v), Value::Str(x)) => v[idx] = Some(x),
+            (Column::Str(v), Value::Str(x)) => v[idx] = Some(x.into()),
             (Column::Str(v), Value::Null) => v[idx] = None,
             (Column::Bool(v), Value::Bool(x)) => v[idx] = Some(x),
             (Column::Bool(v), Value::Null) => v[idx] = None,
@@ -176,7 +182,8 @@ impl Column {
 
     /// Materializes a new column containing the cells at `indices`
     /// (duplicates and arbitrary order allowed — this is the `take` kernel
-    /// used by filters, joins and sorts).
+    /// used by filters, joins and sorts). String cells are shared with
+    /// `self`, not copied.
     pub fn take(&self, indices: &[usize]) -> Self {
         match self {
             Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
@@ -186,7 +193,8 @@ impl Column {
         }
     }
 
-    /// Appends all cells of `other`; errors if the types differ.
+    /// Appends all cells of `other` (string cells shared, not copied);
+    /// errors if the types differ.
     pub fn extend_from(&mut self, other: &Column) -> Result<()> {
         match (self, other) {
             (Column::Int(a), Column::Int(b)) => a.extend_from_slice(b),
@@ -224,8 +232,9 @@ impl Column {
         }
     }
 
-    /// Typed view of a string column.
-    pub fn as_str(&self) -> Option<&[Option<String>]> {
+    /// Typed view of a string column; `cell.as_deref()` reads a cell as
+    /// `Option<&str>`.
+    pub fn as_str(&self) -> Option<&[Option<Arc<str>>]> {
         match self {
             Column::Str(v) => Some(v),
             _ => None,

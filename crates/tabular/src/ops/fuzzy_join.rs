@@ -5,6 +5,7 @@ use crate::column::Column;
 use crate::ops::join::{disambiguate, TracedJoin};
 use crate::table::Table;
 use crate::Result;
+use std::sync::Arc;
 
 /// Case-insensitive Levenshtein edit distance with an early-exit `bound`:
 /// returns `None` as soon as the distance provably exceeds `bound`.
@@ -36,7 +37,7 @@ pub fn bounded_edit_distance(a: &str, b: &str, bound: usize) -> Option<usize> {
 }
 
 /// The cells of a string key column.
-fn str_keys(col: &Column) -> Result<&[Option<String>]> {
+fn str_keys(col: &Column) -> Result<&[Option<Arc<str>>]> {
     col.as_str().ok_or_else(|| crate::TableError::TypeMismatch {
         expected: crate::DataType::Str,
         found: col.dtype().to_string(),

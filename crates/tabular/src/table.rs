@@ -329,7 +329,12 @@ impl TableBuilder {
         I: IntoIterator<Item = T>,
         T: Into<String>,
     {
-        let col = Column::Str(values.into_iter().map(|v| Some(v.into())).collect());
+        let col = Column::Str(
+            values
+                .into_iter()
+                .map(|v| Some(Arc::from(v.into())))
+                .collect(),
+        );
         self.pairs.push((name.to_owned(), col));
         self
     }
@@ -339,8 +344,8 @@ impl TableBuilder {
     where
         I: IntoIterator<Item = Option<String>>,
     {
-        self.pairs
-            .push((name.to_owned(), Column::Str(values.into_iter().collect())));
+        let col = Column::Str(values.into_iter().map(|v| v.map(Arc::from)).collect());
+        self.pairs.push((name.to_owned(), col));
         self
     }
 
