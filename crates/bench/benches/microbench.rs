@@ -2,7 +2,8 @@
 //! exact KNN-Shapley, TMC sampling, relational operators, provenance-traced
 //! execution, table encoding (memoised text embedding), symbolic (Zorro)
 //! training steps, the `identify` detectors (neighbor ranking, Confident
-//! Learning, AUM), and CPClean certainty checks.
+//! Learning, AUM), what-if requests and the join key index behind them,
+//! and CPClean certainty checks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nde_core::pipeline_scenario::{figure3_plan_fuzzy, pipeline_sources};
@@ -328,6 +329,30 @@ fn bench_whatif(c: &mut Criterion) {
     group.finish();
 }
 
+/// A join against `social_df` of the `debug` inputs (~22 000 unique
+/// `person_id`s): `build_22k_cold` joins one row against a freshly copied
+/// key column, so every iteration pays the key-index build (and a 22k-cell
+/// copy); `probe_50_into_22k_warm` joins 50 letters against the shared,
+/// already indexed source, as a what-if insertion does.
+fn bench_join(c: &mut Criterion) {
+    let (_, srcs, batch, _) = whatif_inputs();
+    let social = &srcs["social_df"];
+    let keys = social.column("person_id").unwrap().clone();
+    let one = batch.select(&["person_id"]).unwrap().head(1);
+    let mut group = c.benchmark_group("join");
+    group.sample_size(10);
+    group.bench_function("build_22k_cold", |b| {
+        b.iter(|| {
+            let fresh = Table::from_columns(vec![("person_id".into(), keys.clone())]).unwrap();
+            one.inner_join(&fresh, "person_id", "person_id").unwrap()
+        })
+    });
+    group.bench_function("probe_50_into_22k_warm", |b| {
+        b.iter(|| batch.inner_join(social, "person_id", "person_id").unwrap())
+    });
+    group.finish();
+}
+
 fn bench_quality_profile(c: &mut Criterion) {
     let (_, srcs, _, _) = whatif_inputs();
     let letters = &srcs["train_df"];
@@ -374,6 +399,7 @@ criterion_group!(
     bench_kdtree,
     bench_identify,
     bench_whatif,
+    bench_join,
     bench_quality_profile,
     bench_cpclean
 );

@@ -3,7 +3,8 @@
 //! `BENCH_<label>.json` snapshot, and diffs snapshots as a CI regression
 //! gate. Also doubles as a standalone trace analyzer.
 //!
-//! Modes (first matching flag wins):
+//! Modes (first matching flag wins; `--help` prints them, and an unknown
+//! flag prints them and exits 2 without running anything):
 //!
 //! ```text
 //! perf_report [--label L] [--out FILE]        run suite, write BENCH_L.json
@@ -288,8 +289,30 @@ fn analyze_mode(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+const USAGE: &str = "\
+usage: perf_report [--label L] [--out FILE]          run suite, write BENCH_L.json
+       perf_report --check BASELINE [--out FILE]     run suite, diff vs baseline
+                   [--time-tol X] [--counter-tol Y]
+       perf_report --diff A.json B.json              diff two existing snapshots
+       perf_report --analyze TRACE.jsonl [--chrome OUT.json]
+";
+
+const FLAGS: &[&str] = &[
+    "--label",
+    "--out",
+    "--check",
+    "--time-tol",
+    "--counter-tol",
+    "--diff",
+    "--analyze",
+    "--chrome",
+];
+
 fn main() -> ExitCode {
-    let args = Args::from_env();
+    let args = match Args::from_env(USAGE, FLAGS) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
 
     if args.has("--analyze") {
         return analyze_mode(&args);

@@ -4,7 +4,8 @@
 //! snapshots as a CI data-quality gate. Also runs the error-injection
 //! drift experiment behind EXPERIMENTS.md's "drift detection" table.
 //!
-//! Modes (first matching flag wins):
+//! Modes (first matching flag wins; `--help` prints them, and an unknown
+//! flag prints them and exits 2 without running anything):
 //!
 //! ```text
 //! quality_report [--label L] [--out FILE]      run pipeline, write PROFILE_L.json
@@ -200,8 +201,20 @@ fn experiment_mode() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+const USAGE: &str = "\
+usage: quality_report [--label L] [--out FILE]       run pipeline, write PROFILE_L.json
+       quality_report --check BASELINE [--out FILE]  run pipeline, score drift vs baseline
+       quality_report --diff A.json B.json           score two existing snapshots
+       quality_report --experiment                   drift experiment per error family
+";
+
+const FLAGS: &[&str] = &["--label", "--out", "--check", "--diff", "--experiment"];
+
 fn main() -> ExitCode {
-    let args = Args::from_env();
+    let args = match Args::from_env(USAGE, FLAGS) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
 
     if args.has("--experiment") {
         return experiment_mode();

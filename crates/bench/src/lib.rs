@@ -21,6 +21,7 @@ use nde_learners::matrix::{sq_dist, Matrix};
 use nde_learners::models::knn::{argmax, vote};
 use nde_parallel::neighbor_order::k_nearest;
 use std::fmt::Display;
+use std::process::ExitCode;
 use std::time::Instant;
 
 pub mod perf;
@@ -99,13 +100,55 @@ pub fn iteration_boundary() {
 }
 
 /// Minimal `--flag value` argument map for the report binaries (no
-/// external parser available).
+/// external parser available). Every flag must be one the binary knows,
+/// so a typo or `--help` never falls through to a mode that writes files.
+#[derive(Debug)]
 pub struct Args(Vec<String>);
 
+/// Why [`Args::parse`] rejected a command line.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` or `-h` was given.
+    Help,
+    /// A flag the binary does not know.
+    Unknown(String),
+}
+
 impl Args {
-    /// The process arguments after the program name.
-    pub fn from_env() -> Self {
-        Args(std::env::args().skip(1).collect())
+    /// Parses `args` (the arguments after the program name). A token
+    /// starting with `-` is a flag unless it is a number or a lone `-`;
+    /// every flag must be in `known`. Other tokens are values and are not
+    /// checked here.
+    pub fn parse(args: Vec<String>, known: &[&str]) -> Result<Self, ArgsError> {
+        let is_flag = |a: &str| a.len() > 1 && a.starts_with('-') && a.parse::<f64>().is_err();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            return Err(ArgsError::Help);
+        }
+        match args
+            .iter()
+            .find(|a| is_flag(a) && !known.contains(&a.as_str()))
+        {
+            Some(flag) => Err(ArgsError::Unknown(flag.clone())),
+            None => Ok(Args(args)),
+        }
+    }
+
+    /// The process arguments, parsed against `known`. On `--help` or `-h`
+    /// prints `usage` to stdout and returns exit code 0; on an unknown flag
+    /// prints it with `usage` to stderr and returns exit code 2. The
+    /// caller returns that code without doing anything else.
+    pub fn from_env(usage: &str, known: &[&str]) -> Result<Self, ExitCode> {
+        match Args::parse(std::env::args().skip(1).collect(), known) {
+            Ok(args) => Ok(args),
+            Err(ArgsError::Help) => {
+                print!("{usage}");
+                Err(ExitCode::SUCCESS)
+            }
+            Err(ArgsError::Unknown(flag)) => {
+                eprint!("unknown flag {flag}\n{usage}");
+                Err(ExitCode::from(2))
+            }
+        }
     }
 
     /// The value following `flag`, if any.
@@ -173,6 +216,34 @@ mod tests {
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
         assert_eq!(f4(0.123456), "0.1235");
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
+        let args = args.iter().map(|a| a.to_string()).collect();
+        Args::parse(args, &["--check", "--out", "--time-tol"])
+    }
+
+    #[test]
+    fn args_accept_known_flags_and_their_values() {
+        let args = parse(&["--check", "B.json", "--time-tol", "-1.5"]).unwrap();
+        assert_eq!(args.get("--check"), Some("B.json"));
+        assert_eq!(args.get("--time-tol"), Some("-1.5"));
+        assert!(!args.has("--out"));
+        assert!(parse(&[]).is_ok());
+        assert!(parse(&["--out", "-"]).is_ok());
+    }
+
+    #[test]
+    fn args_reject_help_and_unknown_flags() {
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(parse(&["--check", "B", "-h"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(
+            parse(&["--check", "B", "--bogus"]).unwrap_err(),
+            ArgsError::Unknown("--bogus".into())
+        );
+        assert_eq!(parse(&["-x"]).unwrap_err(), ArgsError::Unknown("-x".into()));
+        // A help request wins over an unknown flag.
+        assert_eq!(parse(&["--bogus", "--help"]).unwrap_err(), ArgsError::Help);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::column::Column;
 use crate::table::Table;
 use crate::Result;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// A traced join result: the joined table plus, for every output row, the
 /// `(left_row, right_row)` input pair it came from (`None` for the right
@@ -19,12 +19,19 @@ pub enum JoinType {
     Left,
 }
 
-/// A hashable, equality-normalized join key borrowed from a typed column.
-/// `Int` and `Float` keys compare numerically (`1 == 1.0`); null keys never
-/// match (SQL semantics) and are represented by `None` at the call sites.
+/// A hashable, exact join and group-by key borrowed from a typed column.
+///
+/// Numbers compare by exact value across `Int` and `Float` columns. An
+/// `Int` cell keys as its `i64`; a `Float` cell keys as the same `i64` when
+/// it is finite, integral and in `i64` range, so `1 == 1.0` and
+/// `-0.0 == 0`, and by its bits otherwise, so a NaN matches only a NaN with
+/// the same bits. Distinct integers never collide, however large. Null
+/// keys never match (SQL semantics) and are represented by `None` at the
+/// call sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Key<'a> {
-    Num(u64),
+    Int(i64),
+    Float(u64),
     Str(&'a str),
     Bool(bool),
 }
@@ -32,19 +39,136 @@ pub(crate) enum Key<'a> {
 /// The key of cell `idx` of `col`, or `None` for a null cell.
 pub(crate) fn key_at(col: &Column, idx: usize) -> Option<Key<'_>> {
     match col {
-        Column::Int(v) => v[idx].map(|x| Key::Num(norm_bits(x as f64))),
-        Column::Float(v) => v[idx].map(|x| Key::Num(norm_bits(x))),
+        Column::Int(v) => v[idx].map(Key::Int),
+        Column::Float(v) => v[idx].map(float_key),
         Column::Str(v) => v[idx].as_deref().map(Key::Str),
         Column::Bool(v) => v[idx].map(Key::Bool),
     }
 }
 
-fn norm_bits(v: f64) -> u64 {
-    // Normalize -0.0 to 0.0 so the two hash identically.
-    if v == 0.0 {
-        0f64.to_bits()
+fn float_key(x: f64) -> Key<'static> {
+    // -2^63 and 2^63 are exact doubles, and every integral double in
+    // between converts to `i64` exactly; `fract` is NaN for NaN and ±inf.
+    const I64_RANGE: std::ops::Range<f64> =
+        -9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0;
+    if x.fract() == 0.0 && I64_RANGE.contains(&x) {
+        Key::Int(x as i64)
     } else {
-        v.to_bits()
+        Key::Float(x.to_bits())
+    }
+}
+
+/// A join's build side: the rows of one column grouped by [`Key`].
+///
+/// Groups are numbered in order of first appearance and stored flat:
+/// group `g` holds `rows[offsets[g]..offsets[g + 1]]`, in ascending row
+/// order. An open-addressed table of group ids maps a key to its group;
+/// it stores no keys, because a group's key is the column cell of its
+/// first row. Null cells belong to no group. Built once per column buffer
+/// and shared through it (see `Table::key_index`).
+pub(crate) struct KeyIndex {
+    /// Keyed with a random seed, since the keys come from input data.
+    hasher: RandomState,
+    /// Linear-probing slots, a power of two more than twice the non-null
+    /// cells: 0 is empty, otherwise the group id plus one.
+    slots: Vec<u32>,
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Indexes every non-null cell of `col`.
+    pub(crate) fn build(col: &Column) -> Self {
+        let n = u32::try_from(col.len()).expect("a key index holds at most u32::MAX rows");
+        let mut index = KeyIndex {
+            hasher: RandomState::new(),
+            slots: vec![0; (2 * col.len() + 1).next_power_of_two()],
+            offsets: Vec::new(),
+            rows: Vec::new(),
+        };
+        // Pass 1: each row's group, new groups in order of appearance; a
+        // group's first row stands in for its key while probing.
+        let mut group_of = vec![u32::MAX; col.len()];
+        let mut counts: Vec<u32> = Vec::new();
+        let mut firsts: Vec<u32> = Vec::new();
+        for i in 0..n {
+            let Some(key) = key_at(col, i as usize) else {
+                continue;
+            };
+            let group = match index.find(col, key, |g| firsts[g] as usize) {
+                Ok(group) => group,
+                Err(slot) => {
+                    let group = counts.len() as u32;
+                    index.slots[slot] = group + 1;
+                    counts.push(0);
+                    firsts.push(i);
+                    group
+                }
+            };
+            counts[group as usize] += 1;
+            group_of[i as usize] = group;
+        }
+        // Pass 2: rows bucketed by group; ascending within each.
+        index.offsets.reserve_exact(counts.len() + 1);
+        index.offsets.push(0);
+        let mut total = 0;
+        for count in &mut counts {
+            let start = total;
+            total += *count;
+            index.offsets.push(total);
+            *count = start; // now the group's write cursor
+        }
+        index.rows = vec![0; total as usize];
+        for (i, &group) in (0..n).zip(&group_of) {
+            if group != u32::MAX {
+                let cursor = &mut counts[group as usize];
+                index.rows[*cursor as usize] = i;
+                *cursor += 1;
+            }
+        }
+        index
+    }
+
+    /// The rows of `col` (the indexed column) whose key equals `key`, in
+    /// ascending order.
+    pub(crate) fn matches(&self, col: &Column, key: Key<'_>) -> &[u32] {
+        match self.find(col, key, |g| self.rows[self.offsets[g] as usize] as usize) {
+            Ok(group) => {
+                let g = group as usize;
+                &self.rows[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    /// Probes for `key`: its group, or the empty slot where it belongs.
+    /// `first_row` maps a group to a row holding its key.
+    fn find(
+        &self,
+        col: &Column,
+        key: Key<'_>,
+        first_row: impl Fn(usize) -> usize,
+    ) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                id => {
+                    let group = id - 1;
+                    if key_at(col, first_row(group as usize)) == Some(key) {
+                        return Ok(group);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Heap bytes held by the index.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * (self.slots.len() + self.offsets.len() + self.rows.len())
     }
 }
 
@@ -79,24 +203,18 @@ impl Table {
         how: JoinType,
     ) -> Result<TracedJoin> {
         let lcol = self.column(left_key)?;
-        let rcol = right.column(right_key)?;
-
-        // Build phase: right-side hash table keyed by normalized key.
-        let mut build: HashMap<Key<'_>, Vec<usize>> = HashMap::new();
-        for i in 0..right.num_rows() {
-            if let Some(k) = key_at(rcol, i) {
-                build.entry(k).or_default().push(i);
-            }
-        }
+        // Build side: the right key column's index, built on first use and
+        // shared by every table holding the same column buffer.
+        let (rcol, index) = right.key_index(right_key)?;
 
         // Probe phase.
         let mut trace: Vec<(usize, Option<usize>)> = Vec::new();
         for i in 0..self.num_rows() {
-            let matches = key_at(lcol, i).and_then(|k| build.get(&k));
-            match matches {
-                Some(rows) => trace.extend(rows.iter().map(|&j| (i, Some(j)))),
-                None if how == JoinType::Left => trace.push((i, None)),
-                None => {}
+            let rows = key_at(lcol, i).map_or(&[][..], |k| index.matches(rcol, k));
+            if !rows.is_empty() {
+                trace.extend(rows.iter().map(|&j| (i, Some(j as usize))));
+            } else if how == JoinType::Left {
+                trace.push((i, None));
             }
         }
 

@@ -2,11 +2,13 @@
 
 use crate::column::Column;
 use crate::error::TableError;
+use crate::ops::join::KeyIndex;
 use crate::row::RowRef;
 use crate::schema::{Field, Schema};
 use crate::value::Value;
 use crate::Result;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A columnar table with a schema.
 ///
@@ -16,6 +18,10 @@ use std::sync::Arc;
 /// Writes (`set`, `column_mut`, `push_row`) copy a column only while
 /// another table still shares it.
 ///
+/// A column buffer also carries the key index a join builds over it, so
+/// every table sharing the buffer joins against it without a rebuild; see
+/// [`Table::inner_join`].
+///
 /// Rows are addressed by position. Operators that drop, duplicate or reorder
 /// rows (filters, joins, sorts, sampling) have `*_traced` variants in
 /// [`crate::ops`] that report the positional mapping from output rows to
@@ -23,8 +29,56 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Arc<Column>>,
+    columns: Vec<Arc<ColumnBuf>>,
     num_rows: usize,
+}
+
+/// A column buffer and the join key index built over it on first use.
+///
+/// The index lives and dies with the buffer. It is invisible to `Debug`
+/// and `PartialEq`, a copy starts without it, and every write through
+/// [`ColumnBuf::get_mut`] drops it.
+struct ColumnBuf {
+    column: Column,
+    index: OnceLock<KeyIndex>,
+}
+
+impl ColumnBuf {
+    fn new(column: Column) -> Arc<Self> {
+        Arc::new(ColumnBuf {
+            column,
+            index: OnceLock::new(),
+        })
+    }
+
+    /// The column for writing, copied first if another table shares it;
+    /// its key index is dropped, since the write may change any key.
+    fn get_mut(buf: &mut Arc<Self>) -> &mut Column {
+        let buf = Arc::make_mut(buf);
+        buf.index.take();
+        &mut buf.column
+    }
+}
+
+impl Clone for ColumnBuf {
+    fn clone(&self) -> Self {
+        ColumnBuf {
+            column: self.column.clone(),
+            index: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for ColumnBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self.column == other.column
+    }
+}
+
+impl fmt::Debug for ColumnBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.column.fmt(f)
+    }
 }
 
 impl Table {
@@ -60,7 +114,7 @@ impl Table {
                 _ => {}
             }
             fields.push(Field::new(name, col.dtype()));
-            columns.push(Arc::new(col));
+            columns.push(ColumnBuf::new(col));
         }
         Ok(Table {
             schema: Schema::new(fields)?,
@@ -91,24 +145,32 @@ impl Table {
 
     /// Column lookup by name.
     pub fn column(&self, name: &str) -> Result<&Column> {
-        Ok(&self.columns[self.index_of(name)?])
+        Ok(&self.columns[self.index_of(name)?].column)
     }
 
     /// Mutable column lookup by name; copies the column first if another
     /// table shares it.
     pub fn column_mut(&mut self, name: &str) -> Result<&mut Column> {
         let idx = self.index_of(name)?;
-        Ok(Arc::make_mut(&mut self.columns[idx]))
+        Ok(ColumnBuf::get_mut(&mut self.columns[idx]))
+    }
+
+    /// The named column and its key index, built on first use and shared
+    /// by every table that holds the same column buffer.
+    pub(crate) fn key_index(&self, name: &str) -> Result<(&Column, &KeyIndex)> {
+        let buf = &self.columns[self.index_of(name)?];
+        let index = buf.index.get_or_init(|| KeyIndex::build(&buf.column));
+        Ok((&buf.column, index))
     }
 
     /// Column by position.
     pub fn column_at(&self, idx: usize) -> &Column {
-        &self.columns[idx]
+        &self.columns[idx].column
     }
 
     /// All columns, in schema order.
     pub fn columns(&self) -> impl ExactSizeIterator<Item = &Column> + Clone {
-        self.columns.iter().map(|c| &**c)
+        self.columns.iter().map(|c| &c.column)
     }
 
     fn index_of(&self, name: &str) -> Result<usize> {
@@ -160,7 +222,7 @@ impl Table {
     /// Appends a column; its length must match the current row count
     /// (any length is accepted when the table has no columns yet).
     pub fn add_column(&mut self, name: impl Into<String>, column: Column) -> Result<()> {
-        self.push_column(name.into(), Arc::new(column))
+        self.push_column(name.into(), ColumnBuf::new(column))
     }
 
     /// Appends column `idx` of `from`, sharing its buffer.
@@ -173,17 +235,18 @@ impl Table {
         self.push_column(name, Arc::clone(&from.columns[idx]))
     }
 
-    fn push_column(&mut self, name: String, column: Arc<Column>) -> Result<()> {
-        if !self.columns.is_empty() && column.len() != self.num_rows {
+    fn push_column(&mut self, name: String, column: Arc<ColumnBuf>) -> Result<()> {
+        let (len, dtype) = (column.column.len(), column.column.dtype());
+        if !self.columns.is_empty() && len != self.num_rows {
             return Err(TableError::LengthMismatch {
                 expected: self.num_rows,
-                found: column.len(),
+                found: len,
             });
         }
         if self.columns.is_empty() {
-            self.num_rows = column.len();
+            self.num_rows = len;
         }
-        self.schema.push(Field::new(name, column.dtype()))?;
+        self.schema.push(Field::new(name, dtype))?;
         self.columns.push(column);
         Ok(())
     }
@@ -193,7 +256,7 @@ impl Table {
     pub(crate) fn replace_column_at(&mut self, idx: usize, column: Column) {
         debug_assert_eq!(column.len(), self.num_rows);
         self.schema.set_dtype(idx, column.dtype());
-        self.columns[idx] = Arc::new(column);
+        self.columns[idx] = ColumnBuf::new(column);
     }
 
     /// Removes a column by name, returning it (copied only if another
@@ -201,7 +264,7 @@ impl Table {
     pub fn drop_column(&mut self, name: &str) -> Result<Column> {
         let idx = self.index_of(name)?;
         self.schema.remove(name)?;
-        Ok(Arc::unwrap_or_clone(self.columns.remove(idx)))
+        Ok(Arc::unwrap_or_clone(self.columns.remove(idx)).column)
     }
 
     /// Renames a column.
@@ -218,7 +281,7 @@ impl Table {
             });
         }
         for (col, value) in self.columns.iter_mut().zip(values) {
-            Arc::make_mut(col).push(value)?;
+            ColumnBuf::get_mut(col).push(value)?;
         }
         self.num_rows += 1;
         Ok(())
@@ -247,7 +310,7 @@ impl Table {
         debug_assert!(columns.iter().all(|c| c.len() == num_rows));
         Table {
             schema,
-            columns: columns.into_iter().map(Arc::new).collect(),
+            columns: columns.into_iter().map(ColumnBuf::new).collect(),
             num_rows,
         }
     }
@@ -284,7 +347,7 @@ impl Table {
                 len: self.num_rows,
             });
         }
-        Ok(self.columns.iter().map(|c| c.get(idx)).collect())
+        Ok(self.columns().map(|c| c.get(idx)).collect())
     }
 
     /// Total nulls across all columns.
@@ -562,6 +625,74 @@ mod tests {
         assert_eq!(name, *t.column("name").unwrap());
         assert_eq!(t.num_columns(), 3);
         assert_eq!(c.schema().names(), vec!["id", "x"]);
+    }
+
+    fn index_built(t: &Table, name: &str) -> bool {
+        t.columns[t.index_of(name).unwrap()].index.get().is_some()
+    }
+
+    #[test]
+    fn clones_share_the_built_key_index() {
+        let t = demo();
+        let before = t.clone();
+        let index: *const KeyIndex = t.key_index("id").unwrap().1;
+        let after = t.clone();
+        for c in [&before, &after] {
+            assert!(Arc::ptr_eq(&t.columns[0], &c.columns[0]));
+            assert!(index_built(c, "id"));
+            assert!(std::ptr::eq(index, c.key_index("id").unwrap().1));
+        }
+        let projected = t.select(&["name", "id"]).unwrap();
+        assert!(std::ptr::eq(index, projected.key_index("id").unwrap().1));
+        assert!(!index_built(&t, "name"));
+    }
+
+    #[test]
+    fn every_write_drops_the_key_index() {
+        let mut t = demo();
+        t.key_index("id").unwrap();
+        t.set(0, "id", Value::Int(9)).unwrap();
+        assert!(!index_built(&t, "id"));
+        t.key_index("id").unwrap();
+        t.column_mut("id").unwrap();
+        assert!(!index_built(&t, "id"));
+        t.key_index("id").unwrap();
+        t.push_row(vec![Value::Int(4), Value::from("d"), Value::Float(0.4)])
+            .unwrap();
+        assert!(!index_built(&t, "id"));
+    }
+
+    #[test]
+    fn a_write_to_a_shared_column_leaves_the_other_index_intact() {
+        let t = demo();
+        let index: *const KeyIndex = t.key_index("id").unwrap().1;
+        let mut c = t.clone();
+        c.set(0, "id", Value::Int(9)).unwrap();
+        assert!(!index_built(&c, "id"));
+        assert!(std::ptr::eq(index, t.key_index("id").unwrap().1));
+    }
+
+    #[test]
+    fn the_key_index_is_invisible_to_eq_and_debug() {
+        let cold = Table::builder().int("id", [1, 2, 3]).build().unwrap();
+        let warm = demo().select(&["id"]).unwrap();
+        warm.key_index("id").unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+    }
+
+    #[test]
+    fn key_index_of_22k_unique_keys_is_under_a_mebibyte() {
+        let n = 22_000;
+        let t = Table::builder().int("k", 0..n).build().unwrap();
+        let bytes = t.key_index("k").unwrap().1.heap_bytes();
+        assert!(bytes < 1 << 20, "{bytes} bytes");
+    }
+
+    #[test]
+    fn tables_are_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Table>();
     }
 
     #[test]

@@ -67,6 +67,35 @@ fn incremental_insertion_matches_full_rerun_on_the_real_pipeline() {
 }
 
 #[test]
+fn a_repaired_join_key_reaches_the_warm_join_index() {
+    use navigating_data_errors::pipeline::whatif::rerun_with_repairs;
+    use navigating_data_errors::tabular::Table;
+    let scenario = small_scenario();
+    let srcs = pipeline_sources(&scenario, scenario.train.clone());
+    let plan = figure3_plan();
+    // Builds the key indexes of jobdetail_df and social_df, which every
+    // later run over these sources shares.
+    let before = plan.run_traced(&srcs).unwrap().table;
+    // Job 0 takes job 1's id: job 0's letters lose their match and job 1's
+    // letters match twice.
+    let jobs = &srcs["jobdetail_df"];
+    let new_id = jobs.get(1, "job_id").unwrap();
+    let repair = [(0, "job_id".to_owned(), new_id.clone())];
+    let repaired = rerun_with_repairs(&plan, &srcs, "jobdetail_df", &repair).unwrap();
+    // Reference: the same repair on a fresh copy, whose index is cold.
+    let names = jobs.schema().names();
+    let copy = names
+        .iter()
+        .map(|&n| (n.to_owned(), jobs.column(n).unwrap().clone()));
+    let mut fresh = Table::from_columns(copy.collect()).unwrap();
+    fresh.set(0, "job_id", new_id).unwrap();
+    let mut cold = srcs.clone();
+    cold.insert("jobdetail_df".into(), fresh);
+    assert_eq!(repaired, plan.run(&cold).unwrap());
+    assert_ne!(repaired, before);
+}
+
+#[test]
 fn every_output_row_has_three_source_dependencies() {
     let scenario = small_scenario();
     let run = run_figure3(&scenario).unwrap();
