@@ -85,23 +85,31 @@ impl Bencher<'_> {
 /// Top-level driver handed to each `criterion_group!` function.
 pub struct Criterion {
     test_mode: bool,
-    filter: Option<String>,
+    /// Positional filters; a benchmark runs when its full name contains
+    /// any of them (every benchmark runs when there are none).
+    filters: Vec<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let mut test_mode = false;
-        let mut filter = None;
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--test" => test_mode = true,
-                "--bench" => {}
-                a if a.starts_with('-') => {}
-                a => filter = Some(a.to_string()),
-            }
-        }
-        Criterion { test_mode, filter }
+        let (test_mode, filters) = parse_args(std::env::args().skip(1));
+        Criterion { test_mode, filters }
     }
+}
+
+/// Splits bench-binary arguments into the `--test` flag and the
+/// positional filters; other flags are ignored.
+fn parse_args(args: impl IntoIterator<Item = String>) -> (bool, Vec<String>) {
+    let mut test_mode = false;
+    let mut filters = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--test" => test_mode = true,
+            a if a.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    (test_mode, filters)
 }
 
 impl Criterion {
@@ -122,10 +130,9 @@ impl Criterion {
     }
 
     fn run_one(&self, full_name: &str, mut f: impl FnMut(&mut Bencher<'_>)) {
-        if let Some(filter) = &self.filter {
-            if !full_name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.filters.is_empty() && !self.filters.iter().any(|f| full_name.contains(f.as_str()))
+        {
+            return;
         }
         let mut samples = Vec::new();
         let mut bencher = Bencher {
@@ -227,6 +234,37 @@ mod tests {
         assert_eq!(BenchmarkId::from_parameter(200).label, "200");
         assert_eq!(BenchmarkId::new("f", 8).label, "f/8");
         assert_eq!(BenchmarkId::from("x").label, "x");
+    }
+
+    #[test]
+    fn every_positional_filter_is_kept() {
+        let args = |list: &[&str]| parse_args(list.iter().map(|a| a.to_string()));
+        assert_eq!(
+            args(&["--bench", "whatif/", "join/"]),
+            (false, vec!["whatif/".to_owned(), "join/".to_owned()])
+        );
+        assert_eq!(args(&["--test"]), (true, vec![]));
+        assert_eq!(
+            args(&["--bench", "--nocapture", "quality/"]).1,
+            ["quality/"]
+        );
+    }
+
+    #[test]
+    fn a_benchmark_runs_when_any_filter_matches() {
+        let ran = |filters: &[&str], name: &str| {
+            let criterion = Criterion {
+                test_mode: true,
+                filters: filters.iter().map(|f| f.to_string()).collect(),
+            };
+            let mut ran = false;
+            criterion.run_one(name, |b| b.iter(|| ran = true));
+            ran
+        };
+        assert!(ran(&[], "join/cold"));
+        assert!(ran(&["whatif/", "join/"], "whatif/insert"));
+        assert!(ran(&["whatif/", "join/"], "join/cold"));
+        assert!(!ran(&["whatif/", "join/"], "quality/profile"));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use nde_learners::Matrix;
 use nde_pipeline::exec::sources;
 use nde_pipeline::whatif::{delete_source_rows, insert_source_rows};
 use nde_pipeline::{Plan, Sources, TracedTable};
+use nde_quality::QualityMode;
 use nde_tabular::Table;
 use nde_uncertain::cpclean::{certain_prediction, IncompleteDataset};
 use nde_uncertain::incomplete::IncompleteMatrix;
@@ -353,13 +354,44 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
+/// Profiling the 20 000 `debug` letters. `profile_letters_20k` profiles
+/// fresh copies of the columns, so no sketch memo serves it (each
+/// iteration also pays the copy, a pointer per string cell);
+/// `profile_letters_20k_warm` profiles the shared source, whose buffers
+/// carry their sketches after the first call; `run_traced_full_quality`
+/// is one `debug` pass's traced plan run under full profiling, where the
+/// sources are warm and only the buffers the plan creates are sketched.
 fn bench_quality_profile(c: &mut Criterion) {
-    let (_, srcs, _, _) = whatif_inputs();
+    let (plan, srcs, _, _) = whatif_inputs();
     let letters = &srcs["train_df"];
     let mut group = c.benchmark_group("quality");
     group.sample_size(10);
     group.bench_function("profile_letters_20k", |b| {
+        b.iter(|| {
+            let columns = letters
+                .schema()
+                .names()
+                .into_iter()
+                .zip(letters.columns())
+                .map(|(name, column)| (name.to_owned(), column.clone()))
+                .collect();
+            Table::from_columns(columns).unwrap().quality_profile()
+        })
+    });
+    group.bench_function("profile_letters_20k_warm", |b| {
         b.iter(|| letters.quality_profile())
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("pipeline");
+    group.sample_size(10);
+    group.bench_function("run_traced_full_quality", |b| {
+        b.iter(|| {
+            nde_quality::configure_quality(QualityMode::Full);
+            let traced = plan.run_traced(&srcs);
+            nde_quality::configure_quality(QualityMode::Off);
+            (traced.unwrap(), nde_quality::take_profiles())
+        })
     });
     group.finish();
 }

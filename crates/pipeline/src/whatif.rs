@@ -5,7 +5,7 @@
 //! view-maintenance connection the paper highlights).
 
 use crate::exec::{lookup_source, Sources, TracedTable};
-use crate::plan::Plan;
+use crate::plan::{Node, Plan, PlanJoin};
 use crate::{PipelineError, Result};
 use nde_tabular::{Table, Value};
 use std::collections::HashSet;
@@ -112,18 +112,37 @@ pub fn rerun_with_repairs(
 /// Returns the delta as a [`TracedTable`] whose `ProvToken::row` values for
 /// `source` are offset by the original source size (i.e. they index into
 /// the grown source table). Errors when `source` appears more than once in
-/// the plan (self-join/self-concat deltas need cross terms).
+/// the plan (self-join/self-concat deltas need cross terms), and when it
+/// feeds the right side of a left join or of a fuzzy join: a new right row
+/// there can retract output rows (a null-extended left row that now
+/// matches, a fuzzy match that a closer key displaces), which an
+/// append-only delta cannot express — re-run the pipeline for those.
+///
+/// The output grown by the delta equals a re-run over the grown source
+/// row for row when every operator on the way from `source` to the output
+/// keeps appended input rows last: filters, projections, derived columns,
+/// the left side of a join, the bottom of a concat. Inserts into the right
+/// side of an inner join (or the top of a concat) give the same rows as a
+/// re-run as a bag, not in order: a re-run lists a new right row's matches
+/// next to their left rows, whereas the delta appends them last.
 pub fn insert_source_rows(
     plan: &Plan,
     sources: &Sources,
     source: &str,
     new_rows: &Table,
 ) -> Result<TracedTable> {
-    let occurrences = count_source_occurrences(plan, source);
+    let occurrences = count_source_occurrences(&plan.node, source);
     if occurrences != 1 {
         return Err(PipelineError::Invalid {
             detail: format!(
                 "incremental insertion needs {source:?} to appear exactly once in the plan, found {occurrences}"
+            ),
+        });
+    }
+    if let Some(op) = retracting_join(&plan.node, source) {
+        return Err(PipelineError::Invalid {
+            detail: format!(
+                "incremental insertion into {source:?} on the right side of {op} can retract output rows; re-run the pipeline"
             ),
         });
     }
@@ -152,16 +171,35 @@ fn run_patched(
     plan.execute(&patched, traced, &mut |_, _| {})
 }
 
-fn count_source_occurrences(plan: &Plan, source: &str) -> usize {
-    fn walk(node: &crate::plan::Node, source: &str) -> usize {
-        let own = usize::from(matches!(node, crate::plan::Node::Source { name } if name == source));
-        own + node
+fn count_source_occurrences(node: &Node, source: &str) -> usize {
+    let own = usize::from(matches!(node, Node::Source { name } if name == source));
+    own + node
+        .children()
+        .iter()
+        .map(|c| count_source_occurrences(c, source))
+        .sum::<usize>()
+}
+
+/// The label of the first left join or fuzzy join whose right input reads
+/// `source`, if any: inserts there are not append-only.
+fn retracting_join(node: &Node, source: &str) -> Option<String> {
+    let reads = |n: &Node| count_source_occurrences(n, source) > 0;
+    match node {
+        Node::Join {
+            right,
+            how: PlanJoin::Left,
+            ..
+        }
+        | Node::FuzzyJoin { right, .. }
+            if reads(right) =>
+        {
+            Some(node.label())
+        }
+        _ => node
             .children()
-            .iter()
-            .map(|c| walk(c, source))
-            .sum::<usize>()
+            .into_iter()
+            .find_map(|child| retracting_join(child, source)),
     }
-    walk(&plan.node, source)
 }
 
 /// The change in a scalar metric of the pipeline output caused by deleting

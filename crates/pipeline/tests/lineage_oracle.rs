@@ -5,11 +5,14 @@
 //! evaluated a second time by a reference walk that materialises one
 //! monomial per row at every operator, straight from the `nde-tabular`
 //! traced kernels, and deletions are checked against a `HashSet` probe of
-//! that reference lineage and against `rerun_without_rows`.
+//! that reference lineage and against `rerun_without_rows`. Inserts that
+//! an append-only delta cannot answer (the right side of a left join or
+//! of a fuzzy join) must be refused with a typed error; inserts into the
+//! right side of an inner join must equal a re-run as a bag.
 
 use nde_pipeline::exec::sources;
-use nde_pipeline::whatif::{delete_source_rows, rerun_without_rows};
-use nde_pipeline::{Monomial, Plan, ProvToken, Sources};
+use nde_pipeline::whatif::{delete_source_rows, insert_source_rows, rerun_without_rows};
+use nde_pipeline::{Monomial, PipelineError, Plan, ProvToken, Sources};
 use nde_tabular::{JoinType, Table, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -319,4 +322,117 @@ fn side_table_deletions_equal_a_rerun() {
     let gone = traced.dependents("jobdetail_df", 1);
     assert!(!gone.is_empty());
     assert_eq!(effect.kept.len() + gone.len(), traced.table.num_rows());
+}
+
+/// Grows `source` by `new_rows` and returns the re-run over the grown
+/// sources, after checking that `insert_source_rows` refuses the insert
+/// with a typed error rather than answer with a delta that, appended to
+/// the output, differs from that re-run.
+fn assert_insert_refused(plan: &Plan, srcs: &Sources, source: &str, new_rows: &Table) -> Table {
+    let mut grown = srcs.clone();
+    grown.insert(source.to_owned(), srcs[source].concat(new_rows).unwrap());
+    let rerun = plan.run(&grown).unwrap();
+    match insert_source_rows(plan, srcs, source, new_rows) {
+        Err(PipelineError::Invalid { .. }) => {}
+        Ok(delta) => {
+            let incremental = plan.run(srcs).unwrap().concat(&delta.table).unwrap();
+            assert_eq!(incremental, rerun, "a wrong delta for {source:?}");
+            panic!("insert into {source:?} answered instead of refused");
+        }
+        Err(e) => panic!("unexpected error {e}"),
+    }
+    rerun
+}
+
+/// `l(k=[1,2]) ⟕ r(k=[1])` plus a right row `k=2`: appending the delta
+/// would keep the null-extended row of `k=2` next to its new match.
+#[test]
+fn inserts_into_the_right_side_of_a_left_join_are_refused() {
+    let table = |keys: &[i64]| {
+        Table::builder()
+            .int("k", keys.to_vec())
+            .int("v", keys.iter().map(|k| k * 10).collect::<Vec<_>>())
+            .build()
+            .unwrap()
+    };
+    let srcs = sources(vec![("l", table(&[1, 2])), ("r", table(&[1]))]);
+    let plan = Plan::source("l").left_join(Plan::source("r"), "k", "k");
+    let rerun = assert_insert_refused(&plan, &srcs, "r", &table(&[2]));
+    assert_eq!(rerun.num_rows(), 2);
+    // The left side still distributes over union.
+    let delta = insert_source_rows(&plan, &srcs, "l", &table(&[1, 3])).unwrap();
+    assert_eq!(delta.table.num_rows(), 2);
+}
+
+/// A fuzzy join whose right side gains a key closer than the current
+/// match: appending the delta would keep the displaced match too.
+#[test]
+fn inserts_into_the_right_side_of_a_fuzzy_join_are_refused() {
+    let table = |keys: &[&str], key: &str, payload: &str, first: i64| {
+        Table::builder()
+            .str(key, keys.to_vec())
+            .int(
+                payload,
+                (first..first + keys.len() as i64).collect::<Vec<_>>(),
+            )
+            .build()
+            .unwrap()
+    };
+    let srcs = sources(vec![
+        ("l", table(&["abc", "xyz"], "name", "v", 0)),
+        ("r", table(&["abd", "xyz"], "key", "w", 10)),
+    ]);
+    let closer = table(&["abc"], "key", "w", 12);
+    let plan = Plan::source("l").fuzzy_join(Plan::source("r"), "name", "key", 1);
+    let rerun = assert_insert_refused(&plan, &srcs, "r", &closer);
+    assert_eq!(rerun.num_rows(), 2);
+    assert_eq!(rerun.get(0, "w").unwrap(), Value::Int(12));
+    // Refused wherever the source sits below the right input.
+    let nested =
+        Plan::source("l").fuzzy_join(Plan::source("r").filter("any", |_| true), "name", "key", 1);
+    assert!(matches!(
+        insert_source_rows(&nested, &srcs, "r", &closer),
+        Err(PipelineError::Invalid { .. })
+    ));
+}
+
+/// The rows of `t`, each rendered as one string, sorted: `t` as a bag.
+fn bag(t: &Table) -> Vec<String> {
+    let names = t.schema().names();
+    let mut rows: Vec<String> = (0..t.num_rows())
+        .map(|i| {
+            format!(
+                "{:?}",
+                names
+                    .iter()
+                    .map(|n| t.get(i, n).unwrap())
+                    .collect::<Vec<_>>()
+            )
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Inserts into the right side of an inner join are answered: the grown
+/// output equals a re-run as a bag, but lists the new matches last.
+#[test]
+fn inserts_into_the_right_side_of_an_inner_join_equal_a_rerun_as_a_bag() {
+    let table = |keys: &[i64], first: i64| {
+        Table::builder()
+            .int("k", keys.to_vec())
+            .int("v", (first..first + keys.len() as i64).collect::<Vec<_>>())
+            .build()
+            .unwrap()
+    };
+    let srcs = sources(vec![("l", table(&[1, 2, 1], 0)), ("r", table(&[1], 10))]);
+    let new_rows = table(&[2, 1], 11);
+    let plan = Plan::source("l").join(Plan::source("r"), "k", "k");
+    let mut grown = srcs.clone();
+    grown.insert("r".to_owned(), srcs["r"].concat(&new_rows).unwrap());
+    let rerun = plan.run(&grown).unwrap();
+    let delta = insert_source_rows(&plan, &srcs, "r", &new_rows).unwrap();
+    let incremental = plan.run(&srcs).unwrap().concat(&delta.table).unwrap();
+    assert_eq!(bag(&incremental), bag(&rerun));
+    assert_ne!(incremental, rerun);
 }

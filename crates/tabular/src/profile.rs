@@ -12,47 +12,98 @@ impl Table {
     /// table, sharding rows across `NDE_THREADS` workers. Chunk boundaries
     /// and the in-order shard merge are functions of the row count only,
     /// so the result is bit-identical for every thread count.
+    ///
+    /// Each column's sketch is memoised on its buffer: only columns whose
+    /// buffer no table has profiled yet are sketched, so profiling costs
+    /// scale with new buffers, not with cells. The result is bit-identical
+    /// to [`Table::quality_profile_sharded`] at
+    /// [`QUALITY_PROFILE_CHUNK_LEN`], because a column's shards merge in
+    /// the same order either way.
     pub fn quality_profile(&self) -> TableProfile {
-        self.quality_profile_sharded(nde_parallel::num_threads(), QUALITY_PROFILE_CHUNK_LEN)
+        let fields = self.schema().fields();
+        let memos: Vec<_> = self.columns_with_sketch().collect();
+        let missing: Vec<usize> = (0..memos.len())
+            .filter(|&i| memos[i].1.get().is_none())
+            .collect();
+        if !missing.is_empty() {
+            let columns: Vec<(&str, &Column)> = missing
+                .iter()
+                .map(|&i| (fields[i].name.as_str(), memos[i].0))
+                .collect();
+            let fresh = sketch_columns(
+                &columns,
+                self.num_rows(),
+                nde_parallel::num_threads(),
+                QUALITY_PROFILE_CHUNK_LEN,
+            );
+            for (&i, sketch) in missing.iter().zip(fresh.columns) {
+                // A concurrent first profile may have won the race; its
+                // sketch is bit-identical.
+                let _ = memos[i].1.set(sketch);
+            }
+        }
+        let columns = fields
+            .iter()
+            .zip(&memos)
+            .map(|(field, (_, memo))| {
+                let mut sketch = memo.get().expect("sketched above").clone();
+                // One buffer can sit under several names.
+                sketch.name.clone_from(&field.name);
+                sketch
+            })
+            .collect();
+        TableProfile {
+            rows: self.num_rows() as u64,
+            columns,
+        }
     }
 
     /// [`Table::quality_profile`] with an explicit worker cap and chunk
-    /// length. The worker cap bounds scheduling only; `chunk_len` fixes
-    /// the shard boundaries, so two calls with the same `chunk_len` agree
-    /// bit-for-bit regardless of `workers`.
+    /// length, sketching every column afresh (no memo is read or written).
+    /// The worker cap bounds scheduling only; `chunk_len` fixes the shard
+    /// boundaries, so two calls with the same `chunk_len` agree bit-for-bit
+    /// regardless of `workers`.
     pub fn quality_profile_sharded(&self, workers: usize, chunk_len: usize) -> TableProfile {
-        let rows = self.num_rows();
-        let fields = self.schema().fields();
-        let columns: Vec<&Column> = self.columns().collect();
-        let shards = nde_parallel::par_map_chunks_with(workers, rows, chunk_len, |range| {
-            let sketches = fields
-                .iter()
-                .zip(&columns)
-                .map(|(f, c)| sketch_column_range(&f.name, c, range.clone()))
-                .collect();
-            let mut shard = TableProfile::with_columns(sketches);
-            shard.rows = range.len() as u64;
-            shard
-        });
-        let empty = || {
-            TableProfile::with_columns(
-                fields
-                    .iter()
-                    .zip(&columns)
-                    .map(|(f, c)| sketch_column_range(&f.name, c, 0..0))
-                    .collect(),
-            )
-        };
-        shards
-            .into_iter()
-            .reduce(|mut acc, shard| {
-                acc.merge(&shard);
-                acc
-            })
-            // Zero-row tables produce zero chunks; keep the column
-            // skeletons so schema-level drift checks still see them.
-            .unwrap_or_else(empty)
+        let columns: Vec<(&str, &Column)> = self
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .zip(self.columns())
+            .collect();
+        sketch_columns(&columns, self.num_rows(), workers, chunk_len)
     }
+}
+
+/// Profiles the named `columns` over `rows` rows: shards of `chunk_len`
+/// rows are sketched on up to `workers` workers and merged in order,
+/// column by column.
+fn sketch_columns(
+    columns: &[(&str, &Column)],
+    rows: usize,
+    workers: usize,
+    chunk_len: usize,
+) -> TableProfile {
+    let sketch_range = |range: Range<usize>| {
+        columns
+            .iter()
+            .map(|&(name, c)| sketch_column_range(name, c, range.clone()))
+            .collect()
+    };
+    let shards = nde_parallel::par_map_chunks_with(workers, rows, chunk_len, |range| {
+        let mut shard = TableProfile::with_columns(sketch_range(range.clone()));
+        shard.rows = range.len() as u64;
+        shard
+    });
+    shards
+        .into_iter()
+        .reduce(|mut acc, shard| {
+            acc.merge(&shard);
+            acc
+        })
+        // Zero-row tables produce zero chunks; keep the column
+        // skeletons so schema-level drift checks still see them.
+        .unwrap_or_else(|| TableProfile::with_columns(sketch_range(0..0)))
 }
 
 /// Shard length for [`Table::quality_profile`]: big enough that sketch

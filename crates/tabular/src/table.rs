@@ -7,6 +7,7 @@ use crate::row::RowRef;
 use crate::schema::{Field, Schema};
 use crate::value::Value;
 use crate::Result;
+use nde_quality::ColumnSketch;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -18,9 +19,11 @@ use std::sync::{Arc, OnceLock};
 /// Writes (`set`, `column_mut`, `push_row`) copy a column only while
 /// another table still shares it.
 ///
-/// A column buffer also carries the key index a join builds over it, so
-/// every table sharing the buffer joins against it without a rebuild; see
-/// [`Table::inner_join`].
+/// A column buffer also carries what is derived from it: the key index a
+/// join builds over it and the column's quality sketch. Every table
+/// sharing the buffer joins against the index without a rebuild (see
+/// [`Table::inner_join`]) and profiles the column without re-sketching it
+/// (see [`Table::quality_profile`]).
 ///
 /// Rows are addressed by position. Operators that drop, duplicate or reorder
 /// rows (filters, joins, sorts, sampling) have `*_traced` variants in
@@ -33,14 +36,18 @@ pub struct Table {
     num_rows: usize,
 }
 
-/// A column buffer and the join key index built over it on first use.
+/// A column buffer, the join key index built over it and its quality
+/// sketch, each computed on first use.
 ///
-/// The index lives and dies with the buffer. It is invisible to `Debug`
-/// and `PartialEq`, a copy starts without it, and every write through
-/// [`ColumnBuf::get_mut`] drops it.
+/// Both live and die with the buffer. They are invisible to `Debug` and
+/// `PartialEq`, a copy starts without them, and every write through
+/// [`ColumnBuf::get_mut`] drops them.
 struct ColumnBuf {
     column: Column,
     index: OnceLock<KeyIndex>,
+    /// The column's sketch over `QUALITY_PROFILE_CHUNK_LEN` shards, under
+    /// the name of whichever table first profiled the buffer.
+    sketch: OnceLock<ColumnSketch>,
 }
 
 impl ColumnBuf {
@@ -48,14 +55,17 @@ impl ColumnBuf {
         Arc::new(ColumnBuf {
             column,
             index: OnceLock::new(),
+            sketch: OnceLock::new(),
         })
     }
 
     /// The column for writing, copied first if another table shares it;
-    /// its key index is dropped, since the write may change any key.
+    /// its key index and sketch are dropped, since the write may change
+    /// any cell.
     fn get_mut(buf: &mut Arc<Self>) -> &mut Column {
         let buf = Arc::make_mut(buf);
         buf.index.take();
+        buf.sketch.take();
         &mut buf.column
     }
 }
@@ -65,6 +75,7 @@ impl Clone for ColumnBuf {
         ColumnBuf {
             column: self.column.clone(),
             index: OnceLock::new(),
+            sketch: OnceLock::new(),
         }
     }
 }
@@ -161,6 +172,13 @@ impl Table {
         let buf = &self.columns[self.index_of(name)?];
         let index = buf.index.get_or_init(|| KeyIndex::build(&buf.column));
         Ok((&buf.column, index))
+    }
+
+    /// Each column with its sketch memo, in schema order.
+    pub(crate) fn columns_with_sketch(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&Column, &OnceLock<ColumnSketch>)> {
+        self.columns.iter().map(|c| (&c.column, &c.sketch))
     }
 
     /// Column by position.
@@ -288,8 +306,13 @@ impl Table {
     }
 
     /// Materializes a new table containing the rows at `indices`
-    /// (duplicates and arbitrary order allowed).
+    /// (duplicates and arbitrary order allowed). The identity selection
+    /// `0..num_rows` copies nothing: it shares every column buffer, with
+    /// its key index and sketch.
     pub fn take(&self, indices: &[usize]) -> Result<Self> {
+        if indices.len() == self.num_rows && indices.iter().enumerate().all(|(i, &j)| i == j) {
+            return Ok(self.clone());
+        }
         if let Some(&bad) = indices.iter().find(|&&i| i >= self.num_rows) {
             return Err(TableError::RowOutOfBounds {
                 idx: bad,
@@ -662,6 +685,76 @@ mod tests {
         assert!(!index_built(&t, "id"));
     }
 
+    fn sketched(t: &Table, name: &str) -> bool {
+        t.columns[t.index_of(name).unwrap()].sketch.get().is_some()
+    }
+
+    #[test]
+    fn every_write_drops_the_sketch_memo() {
+        let mut t = demo();
+        t.quality_profile();
+        assert!(["id", "name", "x"].iter().all(|n| sketched(&t, n)));
+        t.set(0, "id", Value::Int(9)).unwrap();
+        assert!(!sketched(&t, "id"));
+        assert!(sketched(&t, "name"));
+        t.quality_profile();
+        t.column_mut("id").unwrap();
+        assert!(!sketched(&t, "id"));
+        t.quality_profile();
+        t.push_row(vec![Value::Int(4), Value::from("d"), Value::Float(0.4)])
+            .unwrap();
+        assert!(["id", "name", "x"].iter().all(|n| !sketched(&t, n)));
+        assert_eq!(
+            t.quality_profile(),
+            t.quality_profile_sharded(1, crate::profile::QUALITY_PROFILE_CHUNK_LEN)
+        );
+    }
+
+    #[test]
+    fn a_write_to_a_shared_column_leaves_the_other_sketch_intact() {
+        let t = demo();
+        t.quality_profile();
+        let mut c = t.clone();
+        assert!(sketched(&c, "id"));
+        c.set(0, "id", Value::Int(9)).unwrap();
+        assert!(!sketched(&c, "id"));
+        assert!(sketched(&t, "id"));
+        assert_eq!(
+            c.quality_profile().column("id").unwrap().moments.max,
+            Some(9.0)
+        );
+        assert_eq!(
+            t.quality_profile().column("id").unwrap().moments.max,
+            Some(3.0)
+        );
+    }
+
+    #[test]
+    fn the_sharded_profile_neither_reads_nor_writes_the_memo() {
+        let t = demo();
+        t.quality_profile_sharded(2, 1);
+        assert!(!sketched(&t, "id"));
+    }
+
+    #[test]
+    fn an_identity_take_shares_buffers_and_what_they_carry() {
+        let t = demo();
+        t.key_index("id").unwrap();
+        t.quality_profile();
+        let same = t.take(&[0, 1, 2]).unwrap();
+        for (a, b) in t.columns.iter().zip(&same.columns) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        assert!(index_built(&same, "id") && sketched(&same, "x"));
+        let reordered = t.take(&[0, 2, 1]).unwrap();
+        assert!(!index_built(&reordered, "id") && !sketched(&reordered, "x"));
+        assert!(!Arc::ptr_eq(
+            &t.columns[0],
+            &t.take(&[0, 1]).unwrap().columns[0]
+        ));
+        assert!(t.take(&[0, 1, 3]).is_err());
+    }
+
     #[test]
     fn a_write_to_a_shared_column_leaves_the_other_index_intact() {
         let t = demo();
@@ -677,6 +770,17 @@ mod tests {
         let cold = Table::builder().int("id", [1, 2, 3]).build().unwrap();
         let warm = demo().select(&["id"]).unwrap();
         warm.key_index("id").unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+    }
+
+    #[test]
+    fn the_sketch_memo_is_invisible_to_eq_and_debug() {
+        let warm = demo();
+        // Fresh buffers under a clone of the same schema.
+        let cold = warm.concat(&warm.head(0)).unwrap();
+        warm.quality_profile();
+        assert!(sketched(&warm, "name") && !sketched(&cold, "name"));
         assert_eq!(warm, cold);
         assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
     }

@@ -1,8 +1,8 @@
 //! String cells are shared `Arc<str>` buffers: every operator that moves
 //! rows copies a pointer per cell, never the text. These tests pin that
-//! sharing (`Arc::ptr_eq` between input and output cells) and that the
-//! cell-level API (`get`, `set`, CSV) reads and writes plain strings as
-//! before.
+//! sharing (`Arc::ptr_eq` between input and output cells), that an
+//! identity `take` shares whole column buffers, and that the cell-level
+//! API (`get`, `set`, CSV) reads and writes plain strings as before.
 
 use nde_tabular::{Column, JoinType, Table, Value};
 use std::sync::Arc;
@@ -64,6 +64,41 @@ fn take_shares_cells_in_any_order() {
         cells(&taken, "text")[0].as_ref().unwrap(),
         cells(&taken, "text")[1].as_ref().unwrap()
     ));
+}
+
+/// Whether two tables hold column `name` in the very same buffer.
+fn same_buffer(a: &Table, b: &Table, name: &str) -> bool {
+    std::ptr::eq(a.column(name).unwrap(), b.column(name).unwrap())
+}
+
+#[test]
+fn an_identity_take_shares_the_buffers() {
+    let t = letters();
+    let same = t.take(&[0, 1, 2, 3]).unwrap();
+    for name in ["id", "text", "employer"] {
+        assert!(same_buffer(&t, &same, name));
+    }
+    assert!(Arc::ptr_eq(
+        cells(&same, "text")[0].as_ref().unwrap(),
+        cells(&t, "text")[0].as_ref().unwrap()
+    ));
+    // Any other selection gathers into buffers of its own.
+    for indices in [&[0, 1, 2][..], &[0, 1, 3, 2], &[0, 1, 2, 3, 3]] {
+        assert!(!same_buffer(&t, &t.take(indices).unwrap(), "text"));
+    }
+    // A join in which every left row matches once, in order, passes the
+    // left columns through.
+    let side = Table::builder()
+        .str("employer", ["acme", "globex", "initech"])
+        .int("size", [10, 20, 30])
+        .build()
+        .unwrap();
+    for how in [JoinType::Inner, JoinType::Left] {
+        let out = t.join_traced(&side, "employer", "employer", how).unwrap().0;
+        assert!(same_buffer(&t, &out, "text"));
+    }
+    let out = t.fuzzy_join(&side, "employer", "employer", 0).unwrap();
+    assert!(same_buffer(&t, &out, "text"));
 }
 
 #[test]
